@@ -1,15 +1,11 @@
-// Hot-path ablation: measures pre-threshold access throughput under the
-// four combinations of the two fast-path features:
-//
-//   seed        fast_region_lookup=0  staged_write_counters=0  (baseline)
-//   map-only    fast_region_lookup=1  staged_write_counters=0
-//   staged-only fast_region_lookup=0  staged_write_counters=1
-//   full        fast_region_lookup=1  staged_write_counters=1  (default)
+// Hot-path throughput: pre-threshold accesses per second through the
+// runtime's fast path (page-map region resolution plus thread-local write
+// staging).
 //
 // Workload: 4 threads, each writing round-robin over 8 private cache lines
 // (disjoint between threads), with thresholds set high enough that no line
-// ever escalates — so the measurement isolates exactly the two redesigned
-// layers: region resolution and pre-threshold write counting.
+// ever escalates — so the measurement isolates exactly those two layers.
+// Reported as `full_aps`.
 //
 // Usage: microbench_fastpath [writes_per_thread] [--json FILE]
 #include <cinttypes>
@@ -29,21 +25,12 @@ namespace {
 constexpr std::uint32_t kThreads = 4;
 constexpr std::size_t kLinesPerThread = 8;
 
-struct Mode {
-  const char* name;
-  const char* key;  ///< JSON field stem for --json output
-  bool fast_lookup;
-  bool staged;
-};
-
-double run_mode(const Mode& mode, std::uint64_t writes_per_thread) {
+double run(std::uint64_t writes_per_thread) {
   pred::SessionOptions o;
   o.heap_size = 16 * 1024 * 1024;
   // Never escalate: keep every access on the pre-threshold path.
   o.runtime.tracking_threshold = ~std::uint64_t{0} >> 1;
   o.runtime.prediction_threshold = ~std::uint64_t{0} >> 1;
-  o.runtime.fast_region_lookup = mode.fast_lookup;
-  o.runtime.staged_write_counters = mode.staged;
   pred::Session session(o);
 
   const pred::CallsiteId cs = session.intern_frames({"microbench_fastpath"});
@@ -97,29 +84,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  const Mode modes[] = {
-      {"seed (linear scan + shared fetch_add)", "seed", false, false},
-      {"map-only (page map, shared fetch_add)", "map_only", true, false},
-      {"staged-only (linear scan, TLS staging)", "staged_only", false, true},
-      {"full (page map + TLS staging)", "full", true, true},
-  };
-
-  std::printf("hot-path ablation: %u threads x %" PRIu64
-              " disjoint-line writes\n\n",
-              kThreads, writes);
-  std::printf("%-42s %15s %9s\n", "mode", "accesses/sec", "speedup");
+  // Warm-up pass, then the measured pass.
+  run(writes / 8);
+  const double rate = run(writes);
+  std::printf("hot path: %u threads x %" PRIu64
+              " disjoint-line writes: %.0f accesses/sec\n",
+              kThreads, writes, rate);
 
   pred::bench::JsonWriter json;
-  double seed_rate = 0.0;
-  for (const Mode& m : modes) {
-    // Warm-up pass, then the measured pass.
-    run_mode(m, writes / 8);
-    const double rate = run_mode(m, writes);
-    if (seed_rate == 0.0) seed_rate = rate;
-    std::printf("%-42s %15.0f %8.2fx\n", m.name, rate, rate / seed_rate);
-    json.add(std::string(m.key) + "_aps", rate);
-    json.add(std::string(m.key) + "_speedup", rate / seed_rate);
-  }
+  json.add("full_aps", rate);
   if (!json_path.empty()) {
     if (!json.write_file(json_path)) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

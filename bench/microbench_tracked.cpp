@@ -5,8 +5,9 @@
 // exactly the code the tentpole rebuilt: sampling decision, sampled
 // counters, word histogram, two-entry history table.
 //
-//   spin      lock_free_tracker=0   per-line spinlock + global sample clock
-//   lockfree  lock_free_tracker=1   striped clocks + CAS history (default)
+//   spin      SeedTracker (tests/reference/seed_tracker.hpp): per-line
+//             spinlock + global sample clock, the seed's tracker
+//   lockfree  CacheTracker: striped clocks + CAS history (production)
 //
 // Workload: T threads, each writing its own word of the same line (classic
 // false sharing — every sampled write by a new thread invalidates), full
@@ -19,8 +20,8 @@
 //   handoff    line ownership rotates between threads in bursts, the
 //              lock-handoff shape — each tenure claims via
 //              claim_for_handoff then retires a same-owner write burst.
-//              `handoff_speedup_tN` = epoch-passing (suppressed) over the
-//              PR 3 signature (full detail path): the suppression WIN.
+//              `handoff_speedup_tN` = epoch-passing (suppressed) over
+//              epoch 0 (full detail path): the suppression WIN.
 //   multiline  two threads alternate on each of T/2 lines with epochs
 //              flowing but ownership never settling, so nearly every
 //              access takes the suppression check and falls through.
@@ -41,6 +42,7 @@
 
 #include "bench_util.hpp"
 #include "runtime/cache_tracker.hpp"
+#include "seed_tracker.hpp"
 
 namespace {
 
@@ -55,9 +57,9 @@ constexpr pred::Address kLineBase = 0;
 volatile std::uint64_t g_window = 1'000'000;
 volatile std::uint64_t g_interval = 1'000'000;
 
-double run_mode(bool lock_free, std::uint32_t nthreads,
-                std::uint64_t writes_per_thread) {
-  pred::CacheTracker tracker(0, kGeo, lock_free);
+template <typename Tracker>
+double run_mode(std::uint32_t nthreads, std::uint64_t writes_per_thread) {
+  Tracker tracker(0, kGeo);
   // window == interval: full sampling, every access walks the detail path.
   const std::uint64_t window = g_window;
   const std::uint64_t interval = g_interval;
@@ -94,18 +96,17 @@ double run_mode(bool lock_free, std::uint32_t nthreads,
 // synthetic first write, run in BOTH modes so the histories match) and
 // then retires a burst of same-owner writes. With `sync_mode` the writes
 // carry the tenure's epoch and ride the suppression fast path; without,
-// they take the PR 3 five-argument signature and walk the full sampled
-// detail path. Threads drift, so a laggard's stale tenure gets trampled by
-// the next claimant exactly as a real contended lock handoff would — the
-// fast path re-confirms ownership per access, never mis-suppresses.
+// they pass epoch 0 and walk the full sampled detail path. Threads drift,
+// so a laggard's stale tenure gets trampled by the next claimant exactly as
+// a real contended lock handoff would — the fast path re-confirms
+// ownership per access, never mis-suppresses.
 double run_handoff(bool sync_mode, std::uint32_t nthreads,
                    std::uint64_t bursts_per_thread) {
   constexpr std::uint64_t kBurst = 64;
   std::vector<std::unique_ptr<pred::CacheTracker>> trackers;
   trackers.reserve(nthreads);
   for (std::uint32_t i = 0; i < nthreads; ++i) {
-    trackers.push_back(
-        std::make_unique<pred::CacheTracker>(0, kGeo, /*lock_free=*/true));
+    trackers.push_back(std::make_unique<pred::CacheTracker>(0, kGeo));
   }
   const std::uint64_t window = g_window;
   const std::uint64_t interval = g_interval;
@@ -122,14 +123,10 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
         // count from 1, exactly as Runtime::handle_sync would.
         const std::uint32_t epoch = static_cast<std::uint32_t>(r + 1);
         track.claim_for_handoff(t, epoch);
+        const std::uint32_t access_epoch = sync_mode ? epoch : 0;
         for (std::uint64_t i = 0; i < kBurst; ++i) {
-          if (sync_mode) {
-            track.handle_access(word, pred::AccessType::kWrite, t, window,
-                                interval, epoch);
-          } else {
-            track.handle_access(word, pred::AccessType::kWrite, t, window,
-                                interval);
-          }
+          track.handle_access(word, pred::AccessType::kWrite, t, window,
+                              interval, access_epoch);
         }
       }
     });
@@ -161,16 +158,15 @@ double run_handoff(bool sync_mode, std::uint32_t nthreads,
 // Phase 3: fall-through cost. Two threads alternate writes on each line
 // (T/2 lines), every access carrying a live epoch — the suppression check
 // runs on each access but ownership never stabilizes, so the fast path
-// almost never hits and the measured difference against the five-argument
-// signature is the pure cost of the extra load-and-CAS.
+// almost never hits and the measured difference against epoch 0 is the
+// pure cost of the extra load-and-CAS.
 double run_multiline(bool sync_mode, std::uint32_t nthreads,
                      std::uint64_t writes_per_thread) {
   const std::uint32_t nlines = nthreads > 1 ? nthreads / 2 : 1;
   std::vector<std::unique_ptr<pred::CacheTracker>> trackers;
   trackers.reserve(nlines);
   for (std::uint32_t i = 0; i < nlines; ++i) {
-    trackers.push_back(
-        std::make_unique<pred::CacheTracker>(0, kGeo, /*lock_free=*/true));
+    trackers.push_back(std::make_unique<pred::CacheTracker>(0, kGeo));
   }
   const std::uint64_t window = g_window;
   const std::uint64_t interval = g_interval;
@@ -184,15 +180,10 @@ double run_multiline(bool sync_mode, std::uint32_t nthreads,
       const pred::Address word = kLineBase + ((t / nlines) % 8) * 8;
       // One sync at thread start: the epoch is live (non-zero) for every
       // access, so the suppression gate is evaluated each time.
-      const std::uint32_t epoch = 1;
+      const std::uint32_t epoch = sync_mode ? 1 : 0;
       for (std::uint64_t i = 0; i < writes_per_thread; ++i) {
-        if (sync_mode) {
-          track.handle_access(word, pred::AccessType::kWrite, t, window,
-                              interval, epoch);
-        } else {
-          track.handle_access(word, pred::AccessType::kWrite, t, window,
-                              interval);
-        }
+        track.handle_access(word, pred::AccessType::kWrite, t, window,
+                            interval, epoch);
       }
     });
   }
@@ -246,10 +237,10 @@ int main(int argc, char** argv) {
   pred::bench::JsonWriter json;
   for (std::uint32_t t : kThreadCounts) {
     // Warm-up pass, then the measured pass, per mode.
-    run_mode(false, t, writes / 8);
-    const double spin = run_mode(false, t, writes);
-    run_mode(true, t, writes / 8);
-    const double lf = run_mode(true, t, writes);
+    run_mode<pred::SeedTracker>(t, writes / 8);
+    const double spin = run_mode<pred::SeedTracker>(t, writes);
+    run_mode<pred::CacheTracker>(t, writes / 8);
+    const double lf = run_mode<pred::CacheTracker>(t, writes);
     const double speedup = lf / spin;
     std::printf("%8u %18.0f %18.0f %8.2fx\n", t, spin, lf, speedup);
     char key[32];

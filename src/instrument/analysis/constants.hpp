@@ -89,13 +89,13 @@ class ConstantAnalysis {
         s[in.dst] = s[in.a];
         break;
       case Opcode::kAdd:
-        s[in.dst] = fold([](std::int64_t a, std::int64_t b) { return a + b; });
+        s[in.dst] = fold(wrapping_add);
         break;
       case Opcode::kSub:
-        s[in.dst] = fold([](std::int64_t a, std::int64_t b) { return a - b; });
+        s[in.dst] = fold(wrapping_sub);
         break;
       case Opcode::kMul:
-        s[in.dst] = fold([](std::int64_t a, std::int64_t b) { return a * b; });
+        s[in.dst] = fold(wrapping_mul);
         break;
       case Opcode::kCmpLt:
         s[in.dst] =

@@ -121,6 +121,11 @@ std::int64_t Interpreter::execute(const Module* module, const Function& fn,
     }
   };
 
+  // regs[a] + imm of a memory operand, wrapping like all IR arithmetic.
+  auto operand_address = [&](const Instr& i) {
+    return static_cast<Address>(wrapping_add(regs[i.a], i.imm));
+  };
+
   auto touch = [&](Address addr, AccessType type, std::uint32_t size) {
     if (touch_observer_) touch_observer_(addr, size, type, tid);
   };
@@ -144,21 +149,21 @@ std::int64_t Interpreter::execute(const Module* module, const Function& fn,
         regs[in.dst] = regs[in.a];
         break;
       case Opcode::kAdd:
-        regs[in.dst] = regs[in.a] + regs[in.b];
+        regs[in.dst] = wrapping_add(regs[in.a], regs[in.b]);
         break;
       case Opcode::kSub:
-        regs[in.dst] = regs[in.a] - regs[in.b];
+        regs[in.dst] = wrapping_sub(regs[in.a], regs[in.b]);
         break;
       case Opcode::kMul:
-        regs[in.dst] = regs[in.a] * regs[in.b];
+        regs[in.dst] = wrapping_mul(regs[in.a], regs[in.b]);
         break;
       case Opcode::kDiv:
         PRED_CHECK(regs[in.b] != 0);
-        regs[in.dst] = regs[in.a] / regs[in.b];
+        regs[in.dst] = wrapping_div(regs[in.a], regs[in.b]);
         break;
       case Opcode::kRem:
         PRED_CHECK(regs[in.b] != 0);
-        regs[in.dst] = regs[in.a] % regs[in.b];
+        regs[in.dst] = wrapping_rem(regs[in.a], regs[in.b]);
         break;
       case Opcode::kCmpLt:
         regs[in.dst] = regs[in.a] < regs[in.b] ? 1 : 0;
@@ -167,7 +172,7 @@ std::int64_t Interpreter::execute(const Module* module, const Function& fn,
         regs[in.dst] = regs[in.a] == regs[in.b] ? 1 : 0;
         break;
       case Opcode::kLoad: {
-        const Address addr = static_cast<Address>(regs[in.a] + in.imm);
+        const Address addr = operand_address(in);
         touch(addr, AccessType::kRead, in.size);
         if (in.instrumented) {
           instrument(addr, AccessType::kRead, in.size);
@@ -178,7 +183,7 @@ std::int64_t Interpreter::execute(const Module* module, const Function& fn,
         break;
       }
       case Opcode::kStore: {
-        const Address addr = static_cast<Address>(regs[in.a] + in.imm);
+        const Address addr = operand_address(in);
         touch(addr, AccessType::kWrite, in.size);
         if (in.instrumented) {
           instrument(addr, AccessType::kWrite, in.size);
@@ -236,7 +241,7 @@ std::int64_t Interpreter::execute(const Module* module, const Function& fn,
       }
       case Opcode::kReport: {
         if (in.instrumented) {
-          const Address addr = static_cast<Address>(regs[in.a] + in.imm);
+          const Address addr = operand_address(in);
           // A negative count means the loop never ran (e.g. trip count
           // (n - i + C - 1) / C with n < i): deliver nothing.
           const std::int64_t cnt = regs[in.b];
@@ -257,11 +262,14 @@ std::int64_t Interpreter::execute(const Module* module, const Function& fn,
         if (session_) session_->sync(tid);
         break;
       case Opcode::kHandoff: {
-        const Address addr = static_cast<Address>(regs[in.a] + in.imm);
+        const Address addr = operand_address(in);
         const std::int64_t len = regs[in.b];
-        if (session_ && len > 0) {
-          session_->handoff(reinterpret_cast<void*>(addr),
-                            static_cast<std::size_t>(len), tid);
+        if (len > 0) {
+          const auto bytes = static_cast<std::size_t>(len);
+          if (handoff_observer_) handoff_observer_(addr, bytes, tid);
+          if (session_) {
+            session_->handoff(reinterpret_cast<void*>(addr), bytes, tid);
+          }
         }
         break;
       }

@@ -70,6 +70,15 @@ class Interpreter {
     delivery_observer_ = std::move(obs);
   }
 
+  /// Handoff shadow: called for every executed kHandoff with a positive
+  /// length, with the range and receiving thread of the ownership claim the
+  /// session gets. Fires even when the session is null; the delivery
+  /// observer never sees these claims.
+  using HandoffObserver = std::function<void(Address, std::size_t, ThreadId)>;
+  void set_handoff_observer(HandoffObserver obs) {
+    handoff_observer_ = std::move(obs);
+  }
+
  private:
   std::int64_t execute(const Module* module, const Function& fn,
                        std::span<const std::int64_t> args, ThreadId tid,
@@ -79,6 +88,7 @@ class Interpreter {
   std::uint64_t step_limit_;
   TouchObserver touch_observer_;
   DeliveryObserver delivery_observer_;
+  HandoffObserver handoff_observer_;
 };
 
 }  // namespace pred::ir

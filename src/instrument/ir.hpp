@@ -20,11 +20,11 @@ using Reg = std::uint32_t;
 enum class Opcode : std::uint8_t {
   kConst,    // dst = imm
   kMove,     // dst = a
-  kAdd,      // dst = a + b
+  kAdd,      // dst = a + b (all arithmetic wraps, two's complement)
   kSub,      // dst = a - b
   kMul,      // dst = a * b
-  kDiv,      // dst = a / b (b != 0 checked at execution)
-  kRem,      // dst = a % b
+  kDiv,      // dst = a / b (b != 0 checked at execution; MIN / -1 = MIN)
+  kRem,      // dst = a % b (MIN % -1 = 0)
   kCmpLt,    // dst = (a < b)
   kCmpEq,    // dst = (a == b)
   kLoad,     // dst = *(T*)(regs[a] + imm), T of `size` bytes, sign-extended
@@ -48,6 +48,30 @@ enum class Opcode : std::uint8_t {
              // ownership claim to tracked lines in the range (stands in for
              // the first post-handoff write when pruning removed it)
 };
+
+/// IR arithmetic: 64-bit two's complement, wrapping on overflow (signed
+/// overflow is undefined in C++, so it goes through unsigned arithmetic).
+/// Division truncates toward zero; the one overflowing quotient,
+/// INT64_MIN / -1, wraps to INT64_MIN with remainder 0 instead of trapping.
+/// Divisors must be nonzero.
+inline std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrapping_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrapping_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrapping_div(std::int64_t a, std::int64_t b) {
+  return b == -1 ? wrapping_sub(0, a) : a / b;
+}
+inline std::int64_t wrapping_rem(std::int64_t a, std::int64_t b) {
+  return b == -1 ? 0 : a % b;
+}
 
 /// True for the opcodes the instrumentation pass cares about (the memory
 /// intrinsics are always access-bearing and handled separately).

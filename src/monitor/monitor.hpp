@@ -19,8 +19,8 @@
 // The emitting side is wait-free: a TLS-cached ring pointer plus one ring
 // push. Overload is shed drop-oldest per ring, and every shed event is
 // counted and surfaced in the snapshot (`events_dropped`, per-ring stats),
-// so backpressure is visible rather than silent. Emission compiles out
-// entirely with -DPREDATOR_MONITOR=OFF (PREDATOR_DISABLE_MONITOR).
+// so backpressure is visible rather than silent. A runtime with no monitor
+// attached pays one relaxed pointer load per slow-path event site.
 //
 // Ordering guarantee (the `report()` contract extended to snapshots):
 // `snapshot()` first publishes the calling thread's staged write counters

@@ -47,38 +47,6 @@ struct RuntimeConfig {
 
   InstrumentMode instrument_mode = InstrumentMode::kReadsAndWrites;
 
-  /// O(1) region resolution: flat shadow page map plus a per-thread
-  /// last-region cache (runtime/region_map.hpp). Off = the seed's linear
-  /// scan over registered regions. Ablation knob for bench/microbench_fastpath.
-  bool fast_region_lookup = true;
-
-  /// Thread-local staging of pre-threshold write counts
-  /// (runtime/write_stage.hpp). Off = the seed's shared fetch_add per
-  /// write. Detection results are identical on single-writer streams and
-  /// deterministic replays; see write_stage.hpp for the multi-writer bound.
-  bool staged_write_counters = true;
-
-  /// Lock-free tracked path (runtime/cache_tracker.hpp): packed 64-bit
-  /// history table updated by CAS, atomic word histogram with a monotone
-  /// owner word, per-OS-thread striped sampling clocks, and RCU-published
-  /// virtual-line snapshots — no per-line spinlock on sampled accesses.
-  /// Off = the seed's spinlocked tracker, kept as the ablation baseline
-  /// (bench/microbench_tracked) and the determinism reference; the two
-  /// modes report bit-identical counts on single-OS-thread workloads.
-  bool lock_free_tracker = true;
-
-  /// Sync-aware suppression (SmartTrack-style ownership/epoch fast state,
-  /// runtime/cache_tracker.hpp): each tracker carries one packed word
-  /// (owner tid, owner epoch) and accesses by the same thread since its
-  /// last synchronization event retire with a single relaxed load — no
-  /// history-table CAS, no sampling-stripe tick. A per-thread epoch
-  /// counter bumps on Session::sync / Session::handoff; any cross-thread
-  /// access or epoch mismatch falls through to the full path unchanged
-  /// and re-claims the word. Off = PR 3 behavior, kept as the determinism
-  /// reference; both modes report bit-identical counts on single-OS-thread
-  /// workloads.
-  bool sync_suppression = true;
-
   /// Convenience: set the sampling rate keeping the paper's 10k window.
   void set_sampling_rate(double rate) {
     if (rate >= 1.0) {

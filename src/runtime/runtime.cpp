@@ -5,20 +5,16 @@
 
 #include "common/check.hpp"
 
-// Live-monitor emission. Compiled out wholesale with PREDATOR_DISABLE_MONITOR
-// (CMake option PREDATOR_MONITOR=OFF): no monitor header, no attached-monitor
-// load, no branch — the runtime is byte-identical to the pre-monitor build.
-#ifndef PREDATOR_DISABLE_MONITOR
 #include "monitor/monitor.hpp"
+
+// Live-monitor emission: one relaxed load of the attached monitor, off the
+// inline fast path.
 #define PRED_MON_EMIT(type, addr, arg, tid)                          \
   do {                                                               \
     if (Monitor* mon__ = attached_monitor()) [[unlikely]] {          \
       mon__->emit(MonitorEventType::type, (addr), (arg), (tid));     \
     }                                                                \
   } while (0)
-#else
-#define PRED_MON_EMIT(type, addr, arg, tid) ((void)0)
-#endif
 
 namespace pred {
 
@@ -81,8 +77,7 @@ ShadowSpace* Runtime::register_region(Address base, std::size_t size) {
   // then publish the constructed region with a release store.
   const std::size_t slot = num_claimed_.fetch_add(1, std::memory_order_relaxed);
   PRED_CHECK(slot < kMaxRegions);
-  regions_[slot] = std::make_unique<ShadowSpace>(base, size, config_.geometry,
-                                                 config_.lock_free_tracker);
+  regions_[slot] = std::make_unique<ShadowSpace>(base, size, config_.geometry);
   ShadowSpace* region = regions_[slot].get();
   visible_[slot].store(region, std::memory_order_release);
 
@@ -116,9 +111,6 @@ ShadowSpace* Runtime::find_region_slow(Address addr) const {
 }
 
 ShadowSpace* Runtime::find_region(Address addr) const {
-  if (!config_.fast_region_lookup) [[unlikely]] {
-    return find_region_slow(addr);
-  }
   RegionCache& cache = t_region_cache;
   const std::uint64_t gen = runtime_generation();
   if (cache.rt == this && cache.gen == gen && cache.region->contains(addr)) {
@@ -170,28 +162,17 @@ void Runtime::handle_access_one_word(ShadowSpace& region, Address addr,
   if (!track) {
     // Fast path of Figure 1: count writes only, no detailed tracking until
     // the line crosses TrackingThreshold.
-    if (type == AccessType::kWrite) {
-      if (config_.staged_write_counters) [[likely]] {
-        stage_write(region, idx);
-      } else {
-        // Seed behavior: a shared fetch_add per pre-threshold write.
-        const std::uint64_t w =
-            region.writes(idx).fetch_add(1, std::memory_order_relaxed) + 1;
-        if (w >= config_.tracking_threshold) escalate(region, idx);
-      }
-    }
+    if (type == AccessType::kWrite) stage_write(region, idx);
     return;
   }
 
   // Sync-aware suppression applies only while no virtual line covers this
   // line: prediction verification (Section 3.4) is fed by sampled-access
-  // fan-out, which suppressed accesses would starve.
-  const auto outcome =
-      config_.sync_suppression && !track->has_virtual_lines()
-          ? track->handle_access(addr, type, tid, config_.sample_window,
-                                 config_.sample_interval, thread_epoch(tid))
-          : track->handle_access(addr, type, tid, config_.sample_window,
-                                 config_.sample_interval);
+  // fan-out, which suppressed accesses would starve. Epoch 0 never
+  // suppresses.
+  const auto outcome = track->handle_access(
+      addr, type, tid, config_.sample_window, config_.sample_interval,
+      track->has_virtual_lines() ? 0 : thread_epoch(tid));
   if (outcome.sampled) {
     if (track->has_virtual_lines()) {
       track->update_virtual_lines(addr, type, tid);
@@ -383,8 +364,7 @@ VirtualLineTracker* Runtime::add_virtual_line(ShadowSpace& region,
   VirtualLineTracker* vl = nullptr;
   {
     std::lock_guard<Spinlock> g(vl_lock_);
-    virtual_lines_.emplace_back(start, size, kind, origin_line, hot_x, hot_y,
-                                config_.lock_free_tracker);
+    virtual_lines_.emplace_back(start, size, kind, origin_line, hot_x, hot_y);
     vl = &virtual_lines_.back();
   }
   PRED_MON_EMIT(kVirtualLineNominated, start, size, kInvalidThread);

@@ -9,10 +9,9 @@
 //   2. pre-threshold write counting — staged in thread-local slots
 //      (runtime/write_stage.hpp) and drained in batches, so the common
 //      case touches no shared cache line;
-//   3. tracked path — lock-free by default (RuntimeConfig::lock_free_tracker):
-//      per-OS-thread striped sampling clocks, CAS-packed history table,
-//      atomic word histogram, RCU virtual-line fan-out; a per-line-spinlock
-//      reference implementation remains selectable for ablation.
+//   3. tracked path — lock-free: per-OS-thread striped sampling clocks,
+//      CAS-packed history table, atomic word histogram, RCU virtual-line
+//      fan-out, and the sync-aware ownership/epoch exit in front of them.
 #pragma once
 
 #include <atomic>
@@ -105,9 +104,7 @@ class Runtime {
   /// synthetic ownership claim (CacheTracker::claim_for_handoff) to every
   /// line overlapping [addr, addr+len), escalating untracked lines first.
   /// The claim stands in for the receiver's first write to the range when
-  /// static sync-scoped pruning removed it, so no invalidation is lost; it
-  /// runs regardless of RuntimeConfig::sync_suppression so reports stay
-  /// comparable across knob settings.
+  /// static sync-scoped pruning removed it, so no invalidation is lost.
   void handle_handoff(Address addr, std::size_t len, ThreadId tid);
 
   /// Current epoch of `tid`'s slot (slots are hashed by tid; collisions
@@ -143,10 +140,8 @@ class Runtime {
   /// Attaches/detaches the live monitor. While attached, the slow path and
   /// write-stage drains publish compact events (escalations, invalidations,
   /// sampling hits, prediction verdicts) into the monitor's per-thread
-  /// rings; the inline pre-threshold fast path above is untouched. Emission
-  /// compiles out entirely with PREDATOR_DISABLE_MONITOR (CMake option
-  /// PREDATOR_MONITOR=OFF), in which case an attached monitor simply sees
-  /// no events. Called by Monitor::start()/stop().
+  /// rings; the inline pre-threshold fast path above is untouched. Called
+  /// by Monitor::start()/stop().
   void set_monitor(Monitor* monitor) {
     monitor_.store(monitor, std::memory_order_release);
   }
@@ -215,8 +210,8 @@ class Runtime {
   void apply_staged(ShadowSpace& region, std::size_t line_index,
                     std::uint64_t count);
 
-  /// Seed-style linear scan; fallback for page-straddling regions and the
-  /// `fast_region_lookup = false` ablation.
+  /// Linear scan over the registered regions; the fallback for a page that
+  /// two regions share.
   ShadowSpace* find_region_slow(Address addr) const;
 
   RuntimeConfig config_;
@@ -261,7 +256,7 @@ inline void Runtime::handle_access(Address addr, AccessType type, ThreadId tid,
                                    std::size_t size) {
   // Hot-region fast path: a single-word write into the region the calling
   // thread is staging, landing on a line whose staged slot is live. The
-  // cache is only filled while staging is on, a live slot proves the line
+  // cache is only filled by stage_write, a live slot proves the line
   // had no tracker, and the generation compare rejects dead runtimes — so
   // no config, tracker, or region-map work is needed here.
   FastPathCache& fc = t_fastpath_cache;

@@ -9,20 +9,15 @@
 // history table; the resulting invalidation count is the predicted severity.
 //
 // Concurrency: sampled-access fan-out reaches virtual lines from every
-// mutator thread at once, so the default (lock_free = true, mirroring
-// RuntimeConfig::lock_free_tracker) updates the packed history table with a
-// CAS and the counters with relaxed fetch_adds — no serialization point.
-// The spinlock mode survives as the ablation/determinism reference; both
-// modes share the same PackedHistoryTable rules, so single-threaded counts
-// are bit-identical.
+// mutator thread at once, so the tracker updates the packed history table
+// with a CAS and the counters with relaxed fetch_adds — no serialization
+// point.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 
 #include "common/cacheline.hpp"
-#include "common/spinlock.hpp"
 #include "runtime/history_table.hpp"
 
 namespace pred {
@@ -35,27 +30,23 @@ class VirtualLineTracker {
   };
 
   VirtualLineTracker(Address start, std::size_t size, Kind kind,
-                     std::size_t origin_line, Address hot_x, Address hot_y,
-                     bool lock_free = true)
+                     std::size_t origin_line, Address hot_x, Address hot_y)
       : start_(start),
         size_(size),
         hot_x_(hot_x),
         hot_y_(hot_y),
         origin_line_(origin_line),
-        kind_(kind),
-        lock_free_(lock_free) {}
+        kind_(kind) {}
 
   bool covers(Address a) const { return a >= start_ && a < start_ + size_; }
 
   /// Feeds one (sampled) access; counts predicted invalidations.
   void access(Address a, AccessType type, ThreadId tid) {
     if (!covers(a)) return;
-    if (lock_free_) [[likely]] {
-      record(a, type, tid);
-      return;
+    accesses_.fetch_add(1, std::memory_order_relaxed);
+    if (history_.access(tid, type) == HistoryOutcome::kInvalidation) {
+      invalidations_.fetch_add(1, std::memory_order_relaxed);
     }
-    std::lock_guard<Spinlock> g(lock_);
-    record(a, type, tid);
   }
 
   Address start() const { return start_; }
@@ -73,14 +64,6 @@ class VirtualLineTracker {
   }
 
  private:
-  void record(Address /*a*/, AccessType type, ThreadId tid) {
-    accesses_.fetch_add(1, std::memory_order_relaxed);
-    if (history_.access(tid, type) == HistoryOutcome::kInvalidation) {
-      invalidations_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  mutable Spinlock lock_;  ///< taken only in the lock_free = false ablation
   PackedHistoryTable history_;
   std::atomic<std::uint64_t> invalidations_{0};
   std::atomic<std::uint64_t> accesses_{0};
@@ -90,7 +73,6 @@ class VirtualLineTracker {
   const Address hot_y_;
   const std::size_t origin_line_;
   const Kind kind_;
-  const bool lock_free_;
 };
 
 }  // namespace pred

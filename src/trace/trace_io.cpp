@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 
 #include "trace/wire_format.hpp"
@@ -29,38 +30,11 @@ enum : std::uint16_t {
   kFieldEvents = 3,
 };
 
-template <typename T>
-bool read_pod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return in.good();
-}
-
-// v1 body reader, entered after the "PRTR" magic has been consumed.
-bool load_traces_v1(std::istream& in, std::vector<ThreadTrace>* traces) {
-  std::uint32_t version = 0;
-  std::uint32_t threads = 0;
-  if (!read_pod(in, &version) || version != 1) return false;
-  if (!read_pod(in, &threads)) return false;
-  std::vector<ThreadTrace> loaded;
-  loaded.resize(threads);
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    std::uint64_t count = 0;
-    if (!read_pod(in, &count)) return false;
-    loaded[t].reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      WireEvent wire;
-      if (!read_pod(in, &wire)) return false;
-      TraceEvent ev;
-      ev.addr = static_cast<Address>(wire.addr);
-      ev.think_cycles = wire.think;
-      ev.type = wire.type == 0 ? AccessType::kRead : AccessType::kWrite;
-      ev.size = wire.size;
-      loaded[t].push_back(ev);
-    }
-  }
-  *traces = std::move(loaded);
-  return true;
-}
+/// Smallest encoded kThreadTrace frame: the frame header plus the three
+/// fields load_traces requires (two u64s and an empty event blob). Bounds
+/// how many threads the bytes left in a stream can possibly describe.
+constexpr std::uint64_t kMinThreadFrameBytes =
+    wire::kFrameHeaderSize + 3 * 8 + 2 * 8;
 
 }  // namespace
 
@@ -126,14 +100,6 @@ bool save_traces_file(const std::string& path,
 bool load_traces(std::istream& in, std::vector<ThreadTrace>* traces) {
   traces->clear();
 
-  // Dispatch on the magic: "PRTR" selects the legacy v1 body, anything else
-  // must parse as a v2 frame stream (read_frame re-checks the magic).
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  if (!in.good()) return false;
-  if (magic == kTraceMagic) return load_traces_v1(in, traces);
-  in.seekg(-static_cast<std::streamoff>(sizeof magic), std::ios::cur);
-
   wire::Frame frame;
   if (wire::read_frame(in, &frame) != wire::FrameError::kOk ||
       frame.type != wire::FrameType::kTraceHeader) {
@@ -143,8 +109,14 @@ bool load_traces(std::istream& in, std::vector<ThreadTrace>* traces) {
       wire::FieldReader::find(frame.payload, kFieldThreadCount);
   if (!threads_field) return false;
   const std::uint64_t threads = threads_field->as_u64();
+  // The header's count is untrusted: it may not exceed the thread frames
+  // the rest of the stream can hold, so a forged count cannot drive the
+  // allocation below.
+  const std::optional<std::uint64_t> left = wire::bytes_left(in);
+  if (!left || threads > *left / kMinThreadFrameBytes) return false;
 
   std::vector<ThreadTrace> loaded(threads);
+  std::vector<bool> seen(threads, false);
   for (std::uint64_t i = 0; i < threads; ++i) {
     if (wire::read_frame(in, &frame) != wire::FrameError::kOk ||
         frame.type != wire::FrameType::kThreadTrace) {
@@ -153,9 +125,11 @@ bool load_traces(std::istream& in, std::vector<ThreadTrace>* traces) {
     const auto index = wire::FieldReader::find(frame.payload, kFieldThreadIndex);
     const auto count = wire::FieldReader::find(frame.payload, kFieldEventCount);
     const auto events = wire::FieldReader::find(frame.payload, kFieldEvents);
-    if (!index || !count || !events || index->as_u64() >= threads) {
-      return false;
+    if (!index || !count || !events || index->as_u64() >= threads ||
+        seen[index->as_u64()]) {
+      return false;  // missing field, index out of range, or a repeat
     }
+    seen[index->as_u64()] = true;
     ThreadTrace& slot = loaded[index->as_u64()];
     if (!unpack_events(events->bytes, &slot)) return false;
     if (slot.size() != count->as_u64()) return false;

@@ -1,5 +1,6 @@
 #include "trace/wire_format.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <istream>
@@ -134,10 +135,20 @@ FrameError read_frame(std::istream& in, Frame* out) {
   if (version > kWireVersion || version == 0) return FrameError::kVersionSkew;
   const std::uint32_t length = get_u32(p + 8);
   const std::uint32_t crc = get_u32(p + 12);
-  std::string payload(length, '\0');
-  if (length > 0) {
-    in.read(payload.data(), static_cast<std::streamsize>(length));
-    if (static_cast<std::uint32_t>(in.gcount()) < length) {
+  // The claimed length is untrusted. A seekable stream is checked up front
+  // and read in one piece; any other stream grows the payload one chunk at
+  // a time, so memory tracks the bytes that actually arrive.
+  const std::optional<std::uint64_t> left = bytes_left(in);
+  if (left && length > *left) return FrameError::kTruncated;
+  constexpr std::size_t kChunk = 1 << 20;
+  std::string payload;
+  while (payload.size() < length) {
+    const std::size_t got = payload.size();
+    const std::size_t step =
+        left ? length - got : std::min<std::size_t>(length - got, kChunk);
+    payload.resize(got + step);
+    in.read(payload.data() + got, static_cast<std::streamsize>(step));
+    if (static_cast<std::size_t>(in.gcount()) < step) {
       return FrameError::kTruncated;
     }
   }
@@ -145,6 +156,17 @@ FrameError read_frame(std::istream& in, Frame* out) {
   out->type = static_cast<FrameType>(get_u16(p + 6));
   out->payload = std::move(payload);
   return FrameError::kOk;
+}
+
+std::optional<std::uint64_t> bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return std::nullopt;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.clear();  // a failed end-seek must not poison the stream
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || end < here) return std::nullopt;
+  return static_cast<std::uint64_t>(end - here);
 }
 
 void FieldWriter::u64(std::uint16_t id, std::uint64_t v) {

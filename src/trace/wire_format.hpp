@@ -78,8 +78,15 @@ std::string encode_frame(FrameType type, std::string_view payload);
 /// Fixed encoded size of the frame header preceding each payload.
 inline constexpr std::size_t kFrameHeaderSize = 16;
 
-/// Reads one frame from a stream positioned at a frame boundary.
+/// Reads one frame from a stream positioned at a frame boundary. A header
+/// claiming more payload than the stream holds is kTruncated before any
+/// payload is allocated: on a seekable stream the claim is checked against
+/// bytes_left(); otherwise the payload grows only as bytes arrive.
 FrameError read_frame(std::istream& in, Frame* out);
+
+/// Bytes between the read position and the end of a seekable stream;
+/// nullopt when the stream cannot seek. Leaves the position unchanged.
+std::optional<std::uint64_t> bytes_left(std::istream& in);
 
 /// Parses one frame out of `bytes`. On kOk, `*consumed` is the total
 /// encoded size. kTruncated means "need more bytes" — the incremental

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "runtime/cache_tracker.hpp"
+#include "reference/seed_tracker.hpp"
 
 namespace pred {
 namespace {
@@ -20,9 +21,7 @@ constexpr LineGeometry kGeo{};  // 64-byte lines, 8-byte words
 // Line 10 covers [640, 704).
 constexpr Address kLineBase = 640;
 
-CacheTracker make_tracker(bool lock_free = true) {
-  return CacheTracker(10, kGeo, lock_free);
-}
+CacheTracker make_tracker() { return CacheTracker(10, kGeo); }
 
 TEST(CacheTracker, RecordsWordHistogram) {
   auto t = make_tracker();
@@ -115,12 +114,12 @@ TEST(CacheTracker, VirtualLineFanOut) {
 
 // --- tracked-path concurrency (PR 3) --------------------------------------
 
-// Single-OS-thread workloads must be bit-identical across the lock-free and
-// spinlock modes: same invalidations, same sampled split, same word
-// histogram, access by access. This is the ablation's determinism contract.
+// On single-OS-thread workloads the lock-free tracker must be bit-identical
+// to the seed's spinlocked tracker (tests/reference/seed_tracker.hpp): same
+// invalidations, same sampled split, same word histogram, access by access.
 TEST(CacheTracker, ModesAgreeOnSingleThreadedDeterministicWorkload) {
-  auto lf = make_tracker(/*lock_free=*/true);
-  auto spin = make_tracker(/*lock_free=*/false);
+  auto lf = make_tracker();
+  SeedTracker spin(10, kGeo);
   // Mixed read/write, multiple logical threads, multiple words, partial
   // sampling (window 10 of every 100) — all driven from one OS thread.
   for (int i = 0; i < 5000; ++i) {
@@ -153,9 +152,8 @@ TEST(CacheTracker, ModesAgreeOnSingleThreadedDeterministicWorkload) {
 // (every sampled access records exactly one word), invalidations never
 // exceed sampled writes, and owner states are only ever
 // kInvalidThread -> tid -> kSharedWord.
-void run_conservation(bool lock_free, std::uint64_t window,
-                      std::uint64_t interval) {
-  CacheTracker t(10, kGeo, lock_free);
+void run_conservation(std::uint64_t window, std::uint64_t interval) {
+  CacheTracker t(10, kGeo);
   constexpr std::uint32_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 20000;
   std::vector<std::thread> threads;
@@ -200,17 +198,11 @@ void run_conservation(bool lock_free, std::uint64_t window,
   EXPECT_EQ(word_total, sampled);
 }
 
-TEST(CacheTracker, MultiThreadConservationLockFreeFullSampling) {
-  run_conservation(/*lock_free=*/true, 1'000'000, 1'000'000);
+TEST(CacheTracker, MultiThreadConservationFullSampling) {
+  run_conservation(1'000'000, 1'000'000);
 }
-TEST(CacheTracker, MultiThreadConservationLockFreePartialSampling) {
-  run_conservation(/*lock_free=*/true, 100, 1000);
-}
-TEST(CacheTracker, MultiThreadConservationSpinlockFullSampling) {
-  run_conservation(/*lock_free=*/false, 1'000'000, 1'000'000);
-}
-TEST(CacheTracker, MultiThreadConservationSpinlockPartialSampling) {
-  run_conservation(/*lock_free=*/false, 100, 1000);
+TEST(CacheTracker, MultiThreadConservationPartialSampling) {
+  run_conservation(100, 1000);
 }
 
 // One word hammered by many threads ends shared; a word touched by exactly
@@ -240,7 +232,7 @@ TEST(CacheTracker, OwnerWordMonotoneUnderContention) {
 // seed's global-counter phase, which is the determinism property the
 // replay tests rely on.
 TEST(CacheTracker, StripedSamplingExactFromOneThread) {
-  auto t = make_tracker(/*lock_free=*/true);
+  auto t = make_tracker();
   int sampled = 0;
   for (int i = 0; i < 1000; ++i) {
     // Logical tids vary; the stripe is keyed off the OS thread, so the
@@ -261,7 +253,7 @@ TEST(CacheTracker, StripedSamplingExactFromOneThread) {
 // first `window` of each of its own `interval`-sized runs, so the total is
 // deterministic even under contention.
 TEST(CacheTracker, StripedSamplingExactUnderThreads) {
-  CacheTracker t(10, kGeo, /*lock_free=*/true);
+  CacheTracker t(10, kGeo);
   constexpr std::uint64_t kWindow = 10;
   constexpr std::uint64_t kInterval = 100;
   constexpr std::uint32_t kThreads = 8;
@@ -285,8 +277,8 @@ TEST(CacheTracker, StripedSamplingExactUnderThreads) {
 // Trackers created disarmed (mid-escalation) count accesses but do not burn
 // sampling-window positions until arm(); the phase starts at the first
 // post-arming access.
-void run_armed_gate(bool lock_free) {
-  CacheTracker t(10, kGeo, lock_free, /*armed=*/false);
+TEST(CacheTracker, ArmedGateDefersSampling) {
+  CacheTracker t(10, kGeo, /*armed=*/false);
   for (int i = 0; i < 250; ++i) {
     EXPECT_FALSE(t.handle_access(kLineBase, W, 0, 10, 100).sampled);
   }
@@ -300,9 +292,6 @@ void run_armed_gate(bool lock_free) {
   EXPECT_EQ(sampled, 10);  // a fresh interval: first 10 of 100
   EXPECT_EQ(t.total_accesses(), 350u);
 }
-
-TEST(CacheTracker, ArmedGateDefersSamplingLockFree) { run_armed_gate(true); }
-TEST(CacheTracker, ArmedGateDefersSamplingSpinlock) { run_armed_gate(false); }
 
 // Virtual-line fan-out under concurrent nomination: readers iterate an
 // immutable published snapshot, so a nomination during fan-out is simply
@@ -348,22 +337,6 @@ TEST(VirtualLineTracker, CountsInvalidationsLikePhysicalLines) {
   }
   EXPECT_EQ(vl.invalidations(), 99u);
   EXPECT_EQ(vl.accesses(), 100u);
-}
-
-TEST(VirtualLineTracker, ModesAgreeSingleThreaded) {
-  VirtualLineTracker lf(128, 64, VirtualLineTracker::Kind::kShifted, 2, 128,
-                        184, /*lock_free=*/true);
-  VirtualLineTracker spin(128, 64, VirtualLineTracker::Kind::kShifted, 2, 128,
-                          184, /*lock_free=*/false);
-  for (int i = 0; i < 2000; ++i) {
-    const Address a = 128 + (i % 8) * 8;
-    const AccessType type = (i % 3 == 0) ? R : W;
-    const ThreadId tid = static_cast<ThreadId>(i % 2);
-    lf.access(a, type, tid);
-    spin.access(a, type, tid);
-  }
-  EXPECT_EQ(lf.accesses(), spin.accesses());
-  EXPECT_EQ(lf.invalidations(), spin.invalidations());
 }
 
 // ---------------------------------------------------------------------------
@@ -468,17 +441,6 @@ TEST(SyncSuppression, ClaimForHandoffTransfersOwnership) {
   EXPECT_FALSE(t.claim_for_handoff(1, 6));
 }
 
-TEST(SyncSuppression, SpinlockModeIgnoresEpochs) {
-  auto t = make_tracker(/*lock_free=*/false);
-  t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
-  auto out = t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
-  EXPECT_FALSE(out.suppressed);
-  EXPECT_EQ(t.suppressed_accesses(), 0u);
-  // The handoff claim still keeps the history honest in spinlock mode.
-  EXPECT_TRUE(t.claim_for_handoff(1, 1));
-  EXPECT_EQ(t.invalidations(), 1u);
-}
-
 TEST(SyncSuppression, ResetForReuseClearsTheSyncWord) {
   auto t = make_tracker();
   t.handle_access(kLineBase, W, 0, kWin, kIval, 1);
@@ -525,7 +487,7 @@ TEST(SyncSuppression, InvalidationsIdenticalWithAndWithoutSuppression) {
 TEST(SyncSuppression, ConcurrentHandoffTenuresConserveCounts) {
   // TSan-facing: rotating tenures with racing claims; every delivered
   // access must be either sampled or suppressed, never both or neither.
-  auto t = std::make_unique<CacheTracker>(10, kGeo, /*lock_free=*/true);
+  auto t = std::make_unique<CacheTracker>(10, kGeo);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kTenures = 200;
   constexpr std::uint64_t kBurst = 32;

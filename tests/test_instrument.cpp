@@ -7,12 +7,14 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "instrument/access.hpp"
 #include "instrument/analyze_tool.hpp"
 #include "instrument/interp.hpp"
+#include "instrument/ir_parser.hpp"
 #include "instrument/pass.hpp"
 
 namespace pred::ir {
@@ -27,6 +29,54 @@ TEST(Interpreter, StraightLineArithmetic) {
   Interpreter interp;
   const std::int64_t args[] = {4, 5};
   EXPECT_EQ(interp.run(fn, args).return_value, 27);
+}
+
+// IR arithmetic is 64-bit two's complement: overflow wraps instead of
+// being undefined, and the one overflowing division, INT64_MIN / -1, gives
+// INT64_MIN (remainder 0) instead of trapping.
+TEST(Interpreter, ArithmeticWrapsAndDivisionNeverTraps) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  auto eval = [](const char* op, std::int64_t a, std::int64_t b) {
+    const ParseResult parsed = parse_module(
+        std::string("func f(2 args, 3 regs):\nbb0:\n  r2 = r0 ") + op +
+        " r1\n  ret r2\n");
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    Interpreter interp;
+    const std::int64_t args[] = {a, b};
+    return interp.run(parsed.module, parsed.module.functions[0], args)
+        .return_value;
+  };
+  EXPECT_EQ(eval("+", kMax, 1), kMin);
+  EXPECT_EQ(eval("+", kMin, -1), kMax);
+  EXPECT_EQ(eval("-", kMin, 1), kMax);
+  EXPECT_EQ(eval("-", 0, kMin), kMin);
+  EXPECT_EQ(eval("*", kMax, 2), -2);
+  EXPECT_EQ(eval("*", kMin, -1), kMin);
+  EXPECT_EQ(eval("/", kMin, -1), kMin);
+  EXPECT_EQ(eval("%", kMin, -1), 0);
+  // Ordinary division still truncates toward zero.
+  EXPECT_EQ(eval("/", -7, 2), -3);
+  EXPECT_EQ(eval("%", -7, 2), -1);
+  EXPECT_EQ(eval("/", kMin, 1), kMin);
+}
+
+// A memory operand's base + offset wraps too: a base 2^63 above the target
+// plus an offset of INT64_MIN lands back on the target.
+TEST(Interpreter, AddressArithmeticWraps) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  alignas(8) std::int64_t cell = 77;
+  FunctionBuilder b("wrapped", 1);
+  const Reg v = b.load(b.arg(0), kMin);
+  b.store(b.arg(0), b.add(v, b.const_val(1)), kMin);
+  b.ret(v);
+  const Function fn = b.take();
+  const std::uint64_t target = reinterpret_cast<std::uintptr_t>(&cell);
+  const std::int64_t args[] = {static_cast<std::int64_t>(
+      target - static_cast<std::uint64_t>(kMin))};
+  Interpreter interp;
+  EXPECT_EQ(interp.run(fn, args).return_value, 77);
+  EXPECT_EQ(cell, 78);
 }
 
 TEST(Interpreter, LoadsAndStoresHitRealMemory) {

@@ -195,30 +195,103 @@ struct RunTotals {
 
 alignas(64) std::int64_t g_buffer[1024];
 
-/// Executes the first `num_fns` functions of `m` (the originals — "$bare"
-/// clones run only when called) from two alternating logical threads
-/// against g_buffer under a fully deterministic runtime and returns the
-/// detector report as JSON. `sync_suppression` toggles the runtime's
-/// epoch/ownership fast path (on by default, as in production).
-std::string run_module_report(const Module& m, std::size_t num_fns,
-                              std::int64_t n, RunTotals* totals,
-                              bool sync_suppression = true) {
+/// The fully deterministic detector every module run reports through.
+SessionOptions module_run_options() {
   SessionOptions opts;
   opts.runtime.tracking_threshold = 1;
   opts.runtime.report_invalidation_threshold = 1;
   opts.runtime.prediction_enabled = false;
-  opts.runtime.sync_suppression = sync_suppression;
   opts.runtime.set_sampling_rate(1.0);
   opts.heap_size = 4 * 1024 * 1024;
-  Session session(opts);
-  std::memset(g_buffer, 0, sizeof g_buffer);
+  return opts;
+}
+
+/// Tracks g_buffer and pre-escalates every line (threshold 1: one write
+/// creates the tracker), so no later delivery can straddle the tracking
+/// boundary.
+void track_buffer(Session& session) {
   session.register_global(g_buffer, sizeof g_buffer, "gen_buffer");
-  // Pre-escalate every line (threshold 1: one write creates the tracker) so
-  // no later delivery can straddle the tracking boundary.
   for (std::size_t w = 0; w < 1024; w += 8) {
     session.record(&g_buffer[w], AccessType::kWrite, 0, 8);
   }
+}
+
+std::string report_json(const Session& session) {
+  return report_to_json(session.report(), session.runtime().callsites());
+}
+
+/// Accesses the session's trackers retired on the sync-aware ownership
+/// word.
+std::uint64_t suppressed_accesses(const Session& session) {
+  std::uint64_t n = 0;
+  session.runtime().for_each_region([&](const ShadowSpace& r) {
+    r.for_each_tracker([&](std::size_t, const CacheTracker* t) {
+      n += t->suppressed_accesses();
+    });
+  });
+  return n;
+}
+
+/// A detector that never suppresses, run alongside a module: a second
+/// session fed the interpreter's delivered accesses and handoff claims but
+/// no synchronization event, so every thread's epoch stays 0 and no
+/// ownership word is ever built. The claims are delivered as
+/// Runtime::handle_handoff delivers them, minus the epoch bump.
+class NeverSuppressingReference {
+ public:
+  NeverSuppressingReference() : session_(module_run_options()) {
+    track_buffer(session_);
+  }
+
+  void attach(Interpreter& interp) {
+    interp.set_delivery_observer([this](Address a, std::uint32_t width,
+                                        AccessType type, ThreadId tid,
+                                        std::uint64_t count) {
+      session_.record_n(reinterpret_cast<void*>(a), type, tid, width, count);
+      delivered_ += count;
+    });
+    interp.set_handoff_observer(
+        [this](Address a, std::size_t len, ThreadId tid) {
+          claim(a, len, tid);
+        });
+  }
+
+  const Session& session() const { return session_; }
+  std::uint64_t delivered() const { return delivered_; }
+
+ private:
+  void claim(Address a, std::size_t len, ThreadId tid) {
+    ShadowSpace* region = session_.runtime().find_region(a);
+    if (region == nullptr) return;
+    const Address last = a + len - 1;
+    const std::size_t hi = region->contains(last) ? region->line_index(last)
+                                                  : region->num_lines() - 1;
+    for (std::size_t i = region->line_index(a); i <= hi; ++i) {
+      CacheTracker* t = region->tracker(i);
+      ASSERT_NE(t, nullptr) << "line " << i << " was not pre-escalated";
+      t->claim_for_handoff(tid, /*epoch=*/0);
+    }
+  }
+
+  Session session_;
+  std::uint64_t delivered_ = 0;
+};
+
+/// Executes the first `num_fns` functions of `m` (the originals — "$bare"
+/// clones run only when called) from two alternating logical threads
+/// against g_buffer under a fully deterministic runtime and returns the
+/// detector report as JSON. `suppressed`, when given, receives the accesses
+/// the detector retired on the sync-aware ownership word; `reference`,
+/// when given, sees the same run.
+std::string run_module_report(const Module& m, std::size_t num_fns,
+                              std::int64_t n, RunTotals* totals,
+                              std::uint64_t* suppressed = nullptr,
+                              NeverSuppressingReference* reference = nullptr) {
+  Session session(module_run_options());
+  std::memset(g_buffer, 0, sizeof g_buffer);
+  track_buffer(session);
   Interpreter interp(&session);
+  if (reference != nullptr) reference->attach(interp);
   const std::int64_t args[] = {
       static_cast<std::int64_t>(reinterpret_cast<std::intptr_t>(g_buffer)),
       n};
@@ -232,7 +305,8 @@ std::string run_module_report(const Module& m, std::size_t num_fns,
       }
     }
   }
-  return report_to_json(session.report(), session.runtime().callsites());
+  if (suppressed != nullptr) *suppressed = suppressed_accesses(session);
+  return report_json(session);
 }
 
 // ---------------------------------------------------------------------------
@@ -856,51 +930,58 @@ TEST(SyncFuzz, SyncScopedPruningLosesNoInvalidations) {
   EXPECT_GT(total_syncing_exact, 0u);  // exact-but-syncing callees occurred
 }
 
-/// The runtime-level half of the same proof, split by the ISSUE contract:
-/// on SYNC-FREE streams every thread's epoch stays zero, pack_sync refuses
-/// to build an ownership word, and the knob must be completely invisible —
-/// reports bit-identical byte for byte. On SYNCED streams the fast path
-/// legitimately skips histogram work, so the requirement drops to
-/// soundness: identical delivered streams and exactly equal invalidation
-/// accounting. Sequential determinism makes both checks exact, not
-/// statistical.
+/// The runtime-level half of the same proof: suppression must be invisible
+/// where it has to be. Each module also runs through a
+/// NeverSuppressingReference. On SYNC-FREE streams every thread's epoch
+/// stays zero, pack_sync refuses to build an ownership word, and nothing
+/// may be suppressed — the report equals the reference's byte for byte. On
+/// SYNCED streams the fast path legitimately skips histogram work, so the
+/// requirement drops to soundness: identical delivered streams and exactly
+/// equal invalidation accounting. Sequential determinism makes both checks
+/// exact, not statistical.
 TEST(SyncFuzz, SuppressionKnobIsInvisibleWhereItMustBe) {
   GeneratorOptions gopts;
   gopts.segments = 3;
   gopts.accesses_per_block = 2;
+  std::uint64_t synced_suppressed = 0;
   for (std::uint64_t seed = 1; seed <= 32; ++seed) {
     gopts.callees = 1 + static_cast<std::uint32_t>(seed % 4);
     const std::int64_t n = 3 + static_cast<std::int64_t>(seed % 13);
 
-    // Sync-free: bit-identical across modes (the epoch-0 policy end to
-    // end — no sync event ever happened, so nothing may be suppressed).
+    // Sync-free: bit-identical to the reference, nothing suppressed (the
+    // epoch-0 policy end to end — no sync event ever happened).
     gopts.sync_segments = 0;
     Module plain = generate_module(seed, gopts);
     run_instrumentation_pass(plain, {});
-    RunTotals pon;
-    RunTotals poff;
-    const std::string plain_on = run_module_report(
-        plain, plain.functions.size(), n, &pon, /*sync_suppression=*/true);
-    const std::string plain_off = run_module_report(
-        plain, plain.functions.size(), n, &poff, /*sync_suppression=*/false);
-    EXPECT_EQ(pon.delivered, poff.delivered) << "seed " << seed;
-    EXPECT_EQ(plain_on, plain_off) << "seed " << seed;
+    RunTotals pt;
+    std::uint64_t plain_suppressed = 0;
+    NeverSuppressingReference plain_ref;
+    const std::string plain_json =
+        run_module_report(plain, plain.functions.size(), n, &pt,
+                          &plain_suppressed, &plain_ref);
+    EXPECT_EQ(pt.delivered, plain_ref.delivered()) << "seed " << seed;
+    EXPECT_EQ(plain_suppressed, 0u) << "seed " << seed;
+    EXPECT_EQ(plain_json, report_json(plain_ref.session())) << "seed " << seed;
 
     // Synced: same deliveries, zero lost invalidations.
     gopts.sync_segments = 2;
     Module synced = generate_module(seed, gopts);
     run_instrumentation_pass(synced, {});
-    RunTotals son;
-    RunTotals soff;
-    const std::string synced_on = run_module_report(
-        synced, synced.functions.size(), n, &son, /*sync_suppression=*/true);
-    const std::string synced_off = run_module_report(
-        synced, synced.functions.size(), n, &soff, /*sync_suppression=*/false);
-    EXPECT_EQ(son.delivered, soff.delivered) << "seed " << seed;
-    EXPECT_EQ(invalidation_signature(synced_on),
-              invalidation_signature(synced_off))
+    RunTotals st;
+    std::uint64_t suppressed = 0;
+    NeverSuppressingReference synced_ref;
+    const std::string synced_json =
+        run_module_report(synced, synced.functions.size(), n, &st,
+                          &suppressed, &synced_ref);
+    EXPECT_EQ(st.delivered, synced_ref.delivered()) << "seed " << seed;
+    EXPECT_EQ(suppressed_accesses(synced_ref.session()), 0u) << "seed " << seed;
+    EXPECT_EQ(invalidation_signature(synced_json),
+              invalidation_signature(report_json(synced_ref.session())))
         << "seed " << seed;
+    synced_suppressed += suppressed;
   }
+  // The synced half compares something: the production runs did suppress.
+  EXPECT_GT(synced_suppressed, 0u);
 }
 
 /// Cross-call handoff evidence: a transferable root argument's verified

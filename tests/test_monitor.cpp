@@ -119,9 +119,6 @@ SessionOptions deterministic_options() {
 }
 
 TEST(Monitor, SnapshotMatchesFinalReport) {
-#ifdef PREDATOR_DISABLE_MONITOR
-  GTEST_SKIP() << "monitor emission compiled out (PREDATOR_MONITOR=OFF)";
-#endif
   Session session(deterministic_options());
   session.monitor().start();
 
@@ -211,9 +208,6 @@ TEST(Monitor, SnapshotFlushesStagedCounters) {
 }
 
 TEST(Monitor, DropCountersSurfacedInSnapshot) {
-#ifdef PREDATOR_DISABLE_MONITOR
-  GTEST_SKIP() << "monitor emission compiled out (PREDATOR_MONITOR=OFF)";
-#endif
   SessionOptions o = deterministic_options();
   o.monitor.ring_capacity = 8;  // tiny ring, sleepy aggregator: must shed
   Session session(o);
@@ -244,9 +238,6 @@ TEST(Monitor, DropCountersSurfacedInSnapshot) {
 // and snapshots must stay safe either way); the event-count assertions are
 // what need the emitting build.
 TEST(Monitor, StartStopSnapshotRaceFreeUnderMutators) {
-#ifdef PREDATOR_DISABLE_MONITOR
-  GTEST_SKIP() << "monitor emission compiled out (PREDATOR_MONITOR=OFF)";
-#endif
   SessionOptions o;
   o.heap_size = 64 * 1024 * 1024;
   o.runtime.tracking_threshold = 4;

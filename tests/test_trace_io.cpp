@@ -65,14 +65,65 @@ TEST(TraceIo, RejectsTruncatedStream) {
   EXPECT_FALSE(load_traces(cut, &loaded));
 }
 
-TEST(TraceIo, RejectsWrongVersion) {
+// The pre-frame v1 format ("PRTR" preamble) is no longer read: such a
+// file fails at the first frame's magic check.
+TEST(TraceIo, RejectsLegacyV1Preamble) {
   std::stringstream buf;
-  const std::uint32_t magic = kTraceMagic;
-  const std::uint32_t bad_version = kTraceVersion + 1;
-  buf.write(reinterpret_cast<const char*>(&magic), 4);
-  buf.write(reinterpret_cast<const char*>(&bad_version), 4);
+  const std::uint32_t header[] = {0x50525452u /* "PRTR" */, 1, 1};
+  const std::uint64_t count = 0;
+  buf.write(reinterpret_cast<const char*>(header), sizeof header);
+  buf.write(reinterpret_cast<const char*>(&count), sizeof count);
   std::vector<ThreadTrace> loaded;
   EXPECT_FALSE(load_traces(buf, &loaded));
+}
+
+/// A CRC-valid trace header claiming `threads` threads, followed by
+/// `frames` (already encoded thread frames).
+std::string trace_with_header(std::uint64_t threads,
+                              const std::string& frames) {
+  std::string header;
+  wire::FieldWriter hw(&header);
+  hw.u64(1, threads);  // thread count
+  hw.u64(2, 0);        // total events
+  return wire::encode_frame(wire::FrameType::kTraceHeader, header) + frames;
+}
+
+std::string thread_frame(std::uint64_t index, const ThreadTrace& trace) {
+  std::string body;
+  wire::FieldWriter bw(&body);
+  bw.u64(1, index);
+  bw.u64(2, trace.size());
+  bw.bytes(3, pack_events(trace));
+  return wire::encode_frame(wire::FrameType::kThreadTrace, body);
+}
+
+// A forged thread count is checked against the bytes that follow before
+// anything is allocated for it (2^40 empty traces would need ~32 TiB).
+TEST(TraceIo, RejectsThreadCountTheStreamCannotHold) {
+  const std::string frames =
+      thread_frame(0, make_trace(4, 0x1000)) + thread_frame(1, {});
+  std::stringstream huge(trace_with_header(std::uint64_t{1} << 40, frames));
+  std::vector<ThreadTrace> loaded;
+  EXPECT_FALSE(load_traces(huge, &loaded));
+  EXPECT_TRUE(loaded.empty());
+  // One more thread than frames present also fails (truncation), while
+  // the honest count loads.
+  std::stringstream short_by_one(trace_with_header(3, frames));
+  EXPECT_FALSE(load_traces(short_by_one, &loaded));
+  std::stringstream exact(trace_with_header(2, frames));
+  ASSERT_TRUE(load_traces(exact, &loaded));
+  EXPECT_EQ(total_events(loaded), 4u);
+}
+
+// Every thread index must appear exactly once: a repeated index (which
+// would leave another thread silently empty) is rejected.
+TEST(TraceIo, RejectsRepeatedThreadIndex) {
+  const std::string frames =
+      thread_frame(0, make_trace(4, 0x1000)) + thread_frame(0, {});
+  std::stringstream buf(trace_with_header(2, frames));
+  std::vector<ThreadTrace> loaded;
+  EXPECT_FALSE(load_traces(buf, &loaded));
+  EXPECT_TRUE(loaded.empty());
 }
 
 // The current writer emits the v2 frame stream; saved traces must start at
@@ -91,33 +142,6 @@ TEST(TraceIo, SavesVersion2FrameStream) {
                               &frame, &consumed),
             wire::FrameError::kOk);
   EXPECT_EQ(frame.type, wire::FrameType::kThreadTrace);
-}
-
-// A legacy v1 file (raw "PRTR" preamble, no frames) still loads.
-TEST(TraceIo, ReadsLegacyV1Files) {
-  const std::vector<ThreadTrace> traces{make_trace(9, 0x3000),
-                                        make_trace(4, 0x5000)};
-  std::stringstream buf;
-  const std::uint32_t magic = kTraceMagic;
-  const std::uint32_t version = 1;
-  const std::uint32_t threads = static_cast<std::uint32_t>(traces.size());
-  buf.write(reinterpret_cast<const char*>(&magic), 4);
-  buf.write(reinterpret_cast<const char*>(&version), 4);
-  buf.write(reinterpret_cast<const char*>(&threads), 4);
-  for (const ThreadTrace& t : traces) {
-    const std::uint64_t count = t.size();
-    buf.write(reinterpret_cast<const char*>(&count), 8);
-    const std::string packed = pack_events(t);
-    buf.write(packed.data(), static_cast<std::streamsize>(packed.size()));
-  }
-
-  std::vector<ThreadTrace> loaded;
-  ASSERT_TRUE(load_traces(buf, &loaded));
-  ASSERT_EQ(loaded.size(), 2u);
-  ASSERT_EQ(loaded[0].size(), 9u);
-  EXPECT_EQ(loaded[0][3].addr, traces[0][3].addr);
-  EXPECT_EQ(loaded[0][3].type, traces[0][3].type);
-  EXPECT_EQ(loaded[1][2].think_cycles, traces[1][2].think_cycles);
 }
 
 // Frame-level version skew (a future framing revision) is rejected up

@@ -112,6 +112,50 @@ TEST(WireFormat, ReadFrameFromStream) {
   EXPECT_EQ(wire::read_frame(in, &frame), FrameError::kTruncated);
 }
 
+/// A header claiming a 4 GiB payload with no payload behind it.
+std::string forged_header() {
+  std::string bytes = wire::encode_frame(FrameType::kHello, "");
+  for (int i = 8; i < 12; ++i) bytes[i] = static_cast<char>(0xff);
+  return bytes;
+}
+
+// The claimed length is checked against what the stream holds before the
+// payload is allocated: 16 bytes cannot cost 4 GiB.
+TEST(WireFormat, ReadFrameRejectsPayloadLongerThanStream) {
+  std::stringstream in(forged_header());
+  Frame frame;
+  EXPECT_EQ(wire::read_frame(in, &frame), FrameError::kTruncated);
+}
+
+/// A stream buffer that cannot seek, like a pipe.
+class PipeBuf : public std::stringbuf {
+ public:
+  using std::stringbuf::stringbuf;
+
+ protected:
+  pos_type seekoff(off_type, std::ios::seekdir, std::ios::openmode) override {
+    return pos_type(off_type(-1));
+  }
+  pos_type seekpos(pos_type, std::ios::openmode) override {
+    return pos_type(off_type(-1));
+  }
+};
+
+// Without seeking, the payload grows only as bytes arrive, so the forged
+// claim still fails as truncation and honest frames still read.
+TEST(WireFormat, ReadFrameFromUnseekableStream) {
+  PipeBuf forged(forged_header());
+  std::istream forged_in(&forged);
+  Frame frame;
+  EXPECT_FALSE(wire::bytes_left(forged_in).has_value());
+  EXPECT_EQ(wire::read_frame(forged_in, &frame), FrameError::kTruncated);
+
+  PipeBuf honest(wire::encode_frame(FrameType::kHello, "abc"));
+  std::istream honest_in(&honest);
+  ASSERT_EQ(wire::read_frame(honest_in, &frame), FrameError::kOk);
+  EXPECT_EQ(frame.payload, "abc");
+}
+
 TEST(WireFormat, FieldRoundTripAndLookup) {
   const std::string payload = sample_payload();
   const auto u = FieldReader::find(payload, 1);
