@@ -55,8 +55,9 @@ FLOORS = {
         2.0,
         "two-level topology stopped pricing cross-socket ping-pong >= 2x",
     ),
-    # The hierarchical model pays for 512-core sharer masks and directory
-    # lookups; ~0.2x of flat is expected, the floor catches a collapse.
+    # The production simulator at 1 socket over the flat reference
+    # simulator (tests/reference): directory bookkeeping and socket pricing
+    # cost about half the flat rate; the floor catches a collapse.
     "sim_numa_overhead_ratio": (
         0.08,
         "hierarchical simulator > ~12x slower than flat per access",

@@ -1,18 +1,22 @@
-// Two-level NUMA simulator microbench: what the hierarchical model costs
-// over the flat simulator, and whether the topology actually prices remote
+// Coherence simulator microbench: what the topology layer costs over the
+// flat reference simulator, and whether the topology actually prices remote
 // traffic.
 //
 // Phase A — simulation throughput: replay the captured numa_pingpong traces
-//   through the flat CacheSim and through NumaCacheSim at 1 socket and at
-//   4x16 scatter, reporting accesses/sec each. The flat-vs-two-level ratio
-//   is the overhead of directory bookkeeping + socket mapping per access.
+//   through the flat reference simulator (tests/reference/flat_cache_sim.hpp)
+//   and through the production CacheSim at 1 socket and at 4x16 scatter,
+//   reporting accesses/sec each as the median of kRepeats repeats (the three
+//   rows interleave within each repeat). The 1-socket-over-flat ratio —
+//   the median of the per-repeat ratios — is what directory bookkeeping and
+//   socket pricing cost per access.
 //
 // Phase B — the latency model: modeled total cycles at 4x16 scatter over
 //   the 1-socket baseline on the same traces. The packed slots ping-pong
 //   across sockets, so remote_factor (3x) must show up in the ratio; the
-//   acceptance bar from the ISSUE is >= 2x.
+//   acceptance bar is >= 2x.
 //
-// Usage: microbench_sim [iters] [--json FILE]
+// Usage: microbench_sim [iters per repeat] [--json FILE]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -21,8 +25,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "flat_cache_sim.hpp"
+#include "sim/cache_sim.hpp"
 #include "sim/executor.hpp"
-#include "sim/numa_cache_sim.hpp"
 
 namespace {
 
@@ -36,6 +41,28 @@ std::uint64_t trace_events(const std::vector<pred::ThreadTrace>& traces) {
   std::uint64_t n = 0;
   for (const auto& t : traces) n += t.size();
   return n;
+}
+
+constexpr int kRepeats = 5;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+/// Seconds to replay `traces` through `iters` fresh simulators built from
+/// `config`; adds each run's modeled cycles to `sink`.
+template <typename Sim, typename Config>
+double time_replays(const Config& config, int iters,
+                    const std::vector<pred::ThreadTrace>& traces,
+                    std::uint64_t* sink) {
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) {
+    Sim sim(config);
+    *sink += simulate_interleaved(sim, traces).total_cycles;
+  }
+  return seconds_since(start);
 }
 
 }  // namespace
@@ -66,67 +93,55 @@ int main(int argc, char** argv) {
   const auto traces = w->capture(session, p);
   const std::uint64_t events = trace_events(traces);
 
-  pred::SimConfig flat_cfg;
-  flat_cfg.num_cores = 64;
-
-  pred::NumaConfig one_socket;
-  one_socket.sockets = 1;
-  one_socket.cores_per_socket = 64;
-
-  pred::NumaConfig big;
-  big.sockets = 4;
-  big.cores_per_socket = 16;
+  const pred::SimConfig flat_cfg(64);
+  const pred::NumaConfig one_socket(1, 64);
+  pred::NumaConfig big(4, 16);
   big.placement = pred::NumaPlacement::kScatter;
 
-  // Phase A — replay throughput, flat vs hierarchical.
-  std::uint64_t sink = 0;
-  const auto t_flat = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    pred::CacheSim sim(flat_cfg);
-    sink += simulate_interleaved(sim, traces).total_cycles;
-  }
-  const double flat_s = seconds_since(t_flat);
-
-  const auto t_numa1 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    pred::NumaCacheSim sim(one_socket);
-    sink += simulate_interleaved(sim, traces).total_cycles;
-  }
-  const double numa1_s = seconds_since(t_numa1);
-
-  const auto t_numa4 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    pred::NumaCacheSim sim(big);
-    sink += simulate_interleaved(sim, traces).total_cycles;
-  }
-  const double numa4_s = seconds_since(t_numa4);
-
+  // Phase A — replay throughput, flat reference vs production.
   const double evs = static_cast<double>(events) * iters;
-  const double flat_aps = evs / flat_s;
-  const double numa1_aps = evs / numa1_s;
-  const double numa4_aps = evs / numa4_s;
-  // >= 1.0 would mean the two-level model is free; the floor guards it from
+  std::uint64_t sink = 0;
+  std::vector<double> flat_rates, numa1_rates, numa4_rates, ratios;
+  for (int r = 0; r < kRepeats; ++r) {
+    const double flat_s =
+        time_replays<pred::FlatCacheSim>(flat_cfg, iters, traces, &sink);
+    const double numa1_s =
+        time_replays<pred::CacheSim>(one_socket, iters, traces, &sink);
+    const double numa4_s =
+        time_replays<pred::CacheSim>(big, iters, traces, &sink);
+    flat_rates.push_back(evs / flat_s);
+    numa1_rates.push_back(evs / numa1_s);
+    numa4_rates.push_back(evs / numa4_s);
+    ratios.push_back(flat_s / numa1_s);
+  }
+  const double flat_aps = median(flat_rates);
+  const double numa1_aps = median(numa1_rates);
+  const double numa4_aps = median(numa4_rates);
+  // >= 1.0 would mean the topology layer is free; the floor guards it from
   // becoming pathologically expensive (directory work ballooning per access).
-  const double overhead_ratio = numa1_aps / flat_aps;
+  const double overhead_ratio = median(ratios);
 
   // Phase B — the modeled-latency ratio the topology exists to produce.
-  pred::NumaCacheSim local_sim(one_socket);
-  const pred::NumaStats local = simulate_interleaved(local_sim, traces);
-  pred::NumaCacheSim remote_sim(big);
-  const pred::NumaStats remote = simulate_interleaved(remote_sim, traces);
+  pred::CacheSim local_sim(one_socket);
+  const pred::SimStats local = simulate_interleaved(local_sim, traces);
+  pred::CacheSim remote_sim(big);
+  const pred::SimStats remote = simulate_interleaved(remote_sim, traces);
   const double remote_local_ratio =
       local.total_cycles == 0
           ? 0.0
           : static_cast<double>(remote.total_cycles) /
                 static_cast<double>(local.total_cycles);
 
-  std::printf("numa_pingpong: %zu traces, %llu events, iters %d (sink %llu)\n",
+  std::printf("numa_pingpong: %zu traces, %llu events, iters %d x %d "
+              "repeats (sink %llu)\n",
               traces.size(), static_cast<unsigned long long>(events), iters,
-              static_cast<unsigned long long>(sink));
-  std::printf("flat CacheSim:        %12.0f accesses/s\n", flat_aps);
-  std::printf("NumaCacheSim 1x64:    %12.0f accesses/s (%.2fx of flat)\n",
+              kRepeats, static_cast<unsigned long long>(sink));
+  std::printf("flat reference:       %12.0f accesses/s (median)\n", flat_aps);
+  std::printf("CacheSim 1x64:        %12.0f accesses/s (median; %.2fx of "
+              "flat)\n",
               numa1_aps, overhead_ratio);
-  std::printf("NumaCacheSim 4x16:    %12.0f accesses/s\n", numa4_aps);
+  std::printf("CacheSim 4x16:        %12.0f accesses/s (median)\n",
+              numa4_aps);
   std::printf("modeled cycles: 1-socket %llu, 4x16 scatter %llu "
               "(remote/local %.2fx)\n",
               static_cast<unsigned long long>(local.total_cycles),

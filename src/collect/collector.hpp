@@ -11,31 +11,26 @@
 //                            │  decompose() into per-client / per-line /
 //                            │  per-site records (snapshot_merge.hpp)
 //                            ▼
-//            ┌─ shard 0 ─┬─ shard 1 ─┬─ … ─┬─ shard S-1 ─┐
-//            │ lines,    │ lines,    │     │ lines,      │  records routed
-//            │ sites,    │ sites,    │     │ sites,      │  by key hash;
-//            │ clients   │ clients   │     │ clients     │  one mutex per
-//            └───────────┴───────────┴─────┴─────────────┘  shard
+//                     FleetState::absorb under one mutex
+//                            │  the pointwise newest-wins join
+//                            ▼
+//                     rollup()
 //
-// Sharding is by *key hash* (line address, site key, client uid), so two
-// frames touching disjoint lines ingest fully in parallel and ingest
-// throughput scales with cores. Because each shard applies the same
-// pointwise newest-wins join as the sequential FleetState oracle, and the
-// join is commutative/associative/idempotent, any interleaving of
-// concurrent ingests converges to the oracle's state exactly —
-// tests/test_collector.cpp stresses this with 64 simulated clients.
+// Decoding and decomposition run outside the lock; only the join is
+// serialized. Because the join is commutative/associative/idempotent, any
+// interleaving of concurrent ingests converges to a sequential oracle
+// fold's state exactly — tests/test_collector.cpp stresses this with 64
+// simulated clients. The production callers (`serve`, `fleet`) ingest from
+// one poll loop, so the one lock is never contended there.
 //
-// rollup() folds all shards under their locks into the conservative
-// [exact, exact+dropped] fleet view (see snapshot_merge.hpp for the bound
-// semantics).
+// rollup() reduces the state to the conservative [exact, exact+dropped]
+// fleet view (see snapshot_merge.hpp for the bound semantics).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "monitor/snapshot_merge.hpp"
 #include "repair/plan.hpp"
@@ -44,21 +39,17 @@
 namespace pred {
 
 struct CollectorConfig {
-  /// Ingest shards. 0 picks the hardware concurrency, clamped to [1, 64].
-  std::size_t shards = 0;
   /// Hot lines retained in the rollup.
   std::size_t top_k = 16;
 };
 
 class Collector {
  public:
-  explicit Collector(CollectorConfig config = {});
-  ~Collector();
+  explicit Collector(CollectorConfig config = {}) : config_(config) {}
 
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
-  std::size_t num_shards() const { return shards_.size(); }
   const CollectorConfig& config() const { return config_; }
 
   /// Ingests one complete wire frame (header + payload), as produced by
@@ -76,14 +67,14 @@ class Collector {
   void ingest(std::uint64_t client_uid, std::uint64_t client_pid,
               const MonitorSnapshot& snap);
 
-  /// Folds every shard into the fleet rollup. Safe concurrently with
-  /// ingest (shards lock one at a time; the result is some join-order of
-  /// frames ingested so far, which the algebra makes well-defined).
+  /// The fleet rollup. Safe concurrently with ingest (the result is some
+  /// join-order of frames ingested so far, which the algebra makes
+  /// well-defined).
   FleetRollup rollup() const;
   std::string rollup_text() const { return format_rollup(rollup()); }
 
-  /// The collector's state as a sequential FleetState (shard fold) — lets
-  /// tests compare against an oracle with operator==.
+  /// A copy of the collector's state — lets tests compare against an
+  /// oracle with operator==.
   FleetState state() const;
 
   /// Union of every plan ingested so far (kRepairPlan frames), merged per
@@ -102,20 +93,12 @@ class Collector {
   Stats stats() const;
 
  private:
-  struct Shard;
-
-  std::size_t shard_of_uid(std::uint64_t uid) const;
-  std::size_t shard_of_line(Address line) const;
-  std::size_t shard_of_site(const std::string& key) const;
-
   CollectorConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Plans are low-rate control-plane data: one mutex, no sharding.
-  mutable std::mutex plan_mu_;
+  // One mutex over the fleet state, the merged plan and the counters.
+  mutable std::mutex mu_;
+  FleetState state_;
   repair::RepairPlan merged_plan_;
-
-  mutable std::mutex stats_mu_;
   Stats stats_;
 };
 

@@ -185,17 +185,9 @@ bool FleetState::operator==(const FleetState& other) const {
 }
 
 FleetRollup FleetState::rollup(std::size_t top_k) const {
-  return build_rollup(clients_, lines_, sites_, top_k);
-}
-
-FleetRollup build_rollup(
-    const std::map<std::uint64_t, ClientRec>& clients,
-    const std::map<std::pair<std::uint64_t, Address>, LineRec>& lines,
-    const std::map<std::pair<std::uint64_t, std::string>, SiteRec>& sites,
-    std::size_t top_k) {
   FleetRollup out;
-  out.clients = clients.size();
-  for (const auto& [uid, rec] : clients) {
+  out.clients = clients_.size();
+  for (const auto& [uid, rec] : clients_) {
     (void)uid;
     out.events_seen += rec.latest.events_seen;
     out.events_dropped += rec.latest.events_dropped;
@@ -211,14 +203,14 @@ FleetRollup build_rollup(
   out.invalidations_upper = out.invalidations + out.events_dropped;
   out.samples_upper = out.samples + out.events_dropped;
 
-  out.top_lines.reserve(lines.size());
-  for (const auto& [key, rec] : lines) {
+  out.top_lines.reserve(lines_.size());
+  for (const auto& [key, rec] : lines_) {
     FleetRollup::Line l;
     l.client_uid = key.first;
-    const auto cit = clients.find(key.first);
-    l.client_pid = cit != clients.end() ? cit->second.pid : 0;
+    const auto cit = clients_.find(key.first);
+    l.client_pid = cit != clients_.end() ? cit->second.pid : 0;
     const std::uint64_t client_dropped =
-        cit != clients.end() ? cit->second.latest.events_dropped : 0;
+        cit != clients_.end() ? cit->second.latest.events_dropped : 0;
     l.line_start = rec.entry.line_start;
     l.invalidations = rec.entry.invalidations;
     l.invalidations_upper = rec.entry.invalidations + client_dropped;
@@ -248,7 +240,7 @@ FleetRollup build_rollup(
   // survives process boundaries. Unlabeled entries pool under "(unnamed)".
   std::unordered_map<std::string, FleetRollup::Site> by_label;
   std::unordered_map<std::string, std::uint64_t> last_client;
-  for (const auto& [key, rec] : sites) {
+  for (const auto& [key, rec] : sites_) {
     const std::string label =
         rec.entry.label.empty() ? "(unnamed)" : rec.entry.label;
     FleetRollup::Site& site = by_label[label];

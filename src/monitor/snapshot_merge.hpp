@@ -14,7 +14,7 @@
 // full content as the tie-break). Join is commutative, associative, and
 // idempotent — re-delivered frames, reordered transports, and arbitrary
 // merge trees all converge to the same state, which is what lets the
-// sharded collector (src/collect/) ingest in parallel and still match a
+// collector (src/collect/) ingest concurrently and still match a
 // sequential oracle fold bit-for-bit. tests/test_collector.cpp proves the
 // algebra laws over randomized snapshot sets.
 //
@@ -76,9 +76,7 @@ int compare_site_recs(const SiteRec& a, const SiteRec& b);
 std::string site_key(const MonitorSnapshot::CallsiteEntry& ce);
 
 /// A snapshot decomposed into the records the join operates on. The
-/// sharded collector routes `lines`/`sites` to shards by key hash; the
-/// sequential oracle absorbs them directly — both through the exact same
-/// join rules, which is the agreement argument.
+/// collector decomposes outside its lock and absorbs the records under it.
 struct SnapshotRecords {
   std::uint64_t client_uid = 0;
   ClientRec client;
@@ -142,9 +140,9 @@ struct FleetRollup {
 
 std::string format_rollup(const FleetRollup& rollup);
 
-/// Sequential fleet state: the reference implementation of the join. The
-/// collector's sharded state must agree with this exactly for any
-/// interleaving of the same frames.
+/// Fleet state: the join itself. The collector keeps one behind its mutex;
+/// for any interleaving of the same frames it must agree exactly with a
+/// sequential fold.
 class FleetState {
  public:
   /// Joins one snapshot into the state.
@@ -159,23 +157,14 @@ class FleetState {
 
   std::size_t num_clients() const { return clients_.size(); }
 
-  /// Structural equality (used by the algebra-law and shard-consistency
+  /// Structural equality (used by the algebra-law and concurrent-ingest
   /// tests).
   bool operator==(const FleetState& other) const;
 
  private:
-  friend class Collector;
   std::map<std::uint64_t, ClientRec> clients_;
   std::map<std::pair<std::uint64_t, Address>, LineRec> lines_;
   std::map<std::pair<std::uint64_t, std::string>, SiteRec> sites_;
 };
-
-/// Fold lines/sites/clients maps into a rollup — shared by FleetState and
-/// the sharded Collector (which passes its shards' map fragments).
-FleetRollup build_rollup(
-    const std::map<std::uint64_t, ClientRec>& clients,
-    const std::map<std::pair<std::uint64_t, Address>, LineRec>& lines,
-    const std::map<std::pair<std::uint64_t, std::string>, SiteRec>& sites,
-    std::size_t top_k);
 
 }  // namespace pred

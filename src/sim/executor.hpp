@@ -59,10 +59,10 @@ class TraceRecorder {
 
 /// Replays per-thread traces through a simulator, round-robin with the
 /// given quantum (thread i runs on core i % num_cores). Works for any sim
-/// exposing on_access/num_cores/stats — the flat CacheSim and the two-level
-/// NumaCacheSim run the same schedules unchanged. Returns the simulator's
-/// stats; timing comes from sim.max_core_cycles(). Ignores think_cycles
-/// (pure coherence counting).
+/// exposing on_access/num_cores/stats — CacheSim on any topology and the
+/// flat reference simulator in tests/reference run the same schedules
+/// unchanged. Returns the simulator's stats; timing comes from
+/// sim.max_core_cycles(). Ignores think_cycles (pure coherence counting).
 template <typename Sim>
 typename Sim::Stats simulate_interleaved(Sim& sim,
                                          std::span<const ThreadTrace> traces,

@@ -1,230 +1,13 @@
-// Two-level NUMA coherence simulator: per-core private caches backed by a
-// shared per-socket LLC, with a directory at each line's home socket
-// mediating cross-socket MESI coherence and asymmetric local/remote
-// latencies. This is the "bigger machine" the paper's predictions (§3) are
-// verified against: the flat CacheSim models the 8-core build machine, this
-// models the multi-socket fleet box where a latent 128-byte-line or
-// cross-socket problem actually manifests.
-//
-// Design invariant (proven by the differential suite in tests/test_sim.cpp):
-// the *coherence event counts* — hits, cold misses, shared fetches,
-// coherence misses, invalidations — depend only on core-level MESI state and
-// mirror the flat CacheSim branch for branch. Topology changes what events
-// COST (a dirty transfer from a remote socket pays remote_factor, a cold
-// miss to a remote home node pays remote_factor), never which events occur,
-// so a 1-socket NumaCacheSim is bit-identical to the flat simulator — stats,
-// per-line invalidations, and per-core cycles alike. The one deliberate
-// exception is llc_line_size > line_size: then the directory tracks socket
-// presence at LLC-line granularity and a write kills remote-socket copies of
-// *sibling* private lines too, which is exactly the larger-line geometry the
-// §3.3 double-line prediction convicts.
+// The multi-socket spellings of the one coherence simulator. A NumaCacheSim
+// is a CacheSim built from a NumaConfig; its stats are SimStats, whose
+// remote and directory counters stay zero on one socket. See cache_sim.hpp.
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <optional>
-#include <unordered_map>
-#include <vector>
-
-#include "common/cacheline.hpp"
-#include "common/check.hpp"
 #include "sim/cache_sim.hpp"
 
 namespace pred {
 
-/// How logical cores are numbered onto sockets. The trace executors assign
-/// thread t to core t % num_cores, so placement decides whether neighbor
-/// threads land on the same socket (compact) or alternate sockets (scatter).
-enum class NumaPlacement : std::uint8_t {
-  kCompact,  ///< core c sits on socket c / cores_per_socket
-  kScatter,  ///< core c sits on socket c % sockets
-};
-
-struct NumaConfig {
-  std::uint32_t sockets = 2;
-  std::uint32_t cores_per_socket = 4;
-  /// Latency multiplier for any transfer that crosses the socket
-  /// interconnect (dirty-line transfer, remote LLC fetch, remote home-node
-  /// memory fetch, invalidation delivered to a remote core).
-  double remote_factor = 3.0;
-  std::size_t line_size = 64;      ///< private-cache line size
-  /// Per-socket LLC line size; must be a multiple of line_size. When larger
-  /// than line_size the directory operates at this coarser grain: a write
-  /// invalidates remote sockets' copies of every private line inside the
-  /// LLC line — adjacent-line false sharing that a 64B-line machine never
-  /// shows.
-  std::size_t llc_line_size = 64;
-  NumaPlacement placement = NumaPlacement::kCompact;
-  double clock_ghz = 2.33;
-
-  // Local-case cycle costs, deliberately identical to SimConfig's defaults
-  // so the 1-socket degenerate case reproduces the flat simulator exactly.
-  std::uint64_t hit_cost = 1;
-  std::uint64_t shared_fetch_cost = 80;     ///< clean copy from the local LLC
-  std::uint64_t cold_miss_cost = 250;       ///< local home-node memory fetch
-  std::uint64_t coherence_miss_cost = 500;  ///< dirty line owned elsewhere
-  std::uint64_t invalidation_cost = 100;    ///< per remote copy killed
-
-  std::uint32_t total_cores() const { return sockets * cores_per_socket; }
-  std::uint32_t socket_of(std::uint32_t core) const {
-    return placement == NumaPlacement::kCompact ? core / cores_per_socket
-                                                : core % sockets;
-  }
-};
-
-/// Flat SimStats plus the topology-only counters. The base fields obey the
-/// flat-equivalence invariant; the extras record how much of the traffic
-/// crossed the socket interconnect.
-struct NumaStats : SimStats {
-  std::uint64_t remote_coherence_misses = 0;  ///< dirty owner on another socket
-  std::uint64_t remote_shared_fetches = 0;    ///< clean copy only in remote LLC
-  std::uint64_t remote_cold_misses = 0;       ///< home node on another socket
-  std::uint64_t remote_invalidations_sent = 0;  ///< kills landing cross-socket
-  std::uint64_t llc_sibling_invalidations = 0;  ///< coarse-LLC-grain kills on
-                                                ///< sibling private lines
-  std::uint64_t directory_transitions = 0;    ///< directory state changes
-  std::uint64_t directory_invalidations = 0;  ///< socket-level copies dropped
-
-  void add(const NumaStats& o) {
-    SimStats::add(o);
-    remote_coherence_misses += o.remote_coherence_misses;
-    remote_shared_fetches += o.remote_shared_fetches;
-    remote_cold_misses += o.remote_cold_misses;
-    remote_invalidations_sent += o.remote_invalidations_sent;
-    llc_sibling_invalidations += o.llc_sibling_invalidations;
-    directory_transitions += o.directory_transitions;
-    directory_invalidations += o.directory_invalidations;
-  }
-};
-
-class NumaCacheSim {
- public:
-  using Stats = NumaStats;
-
-  /// Bitmask over up to kMaxCores cores (the flat simulator's single
-  /// std::uint64_t caps out at 64; big-machine interleavings need 256+).
-  static constexpr std::uint32_t kMaxCores = 512;
-  struct CoreMask {
-    std::array<std::uint64_t, kMaxCores / 64> words{};
-    bool test(std::uint32_t c) const {
-      return (words[c / 64] >> (c % 64)) & 1ull;
-    }
-    void set(std::uint32_t c) { words[c / 64] |= 1ull << (c % 64); }
-    void clear() { words.fill(0); }
-    bool any() const {
-      for (auto w : words) {
-        if (w != 0) return true;
-      }
-      return false;
-    }
-  };
-
-  explicit NumaCacheSim(NumaConfig config = {}) : config_(config) {
-    PRED_CHECK(config.sockets >= 1 && config.sockets <= 16);
-    PRED_CHECK(config.cores_per_socket >= 1);
-    PRED_CHECK(config.total_cores() <= kMaxCores);
-    PRED_CHECK(config.line_size > 0);
-    PRED_CHECK(config.llc_line_size >= config.line_size &&
-               config.llc_line_size % config.line_size == 0);
-    PRED_CHECK(config.remote_factor >= 1.0);
-    core_cycles_.assign(config.total_cores(), 0);
-  }
-
-  /// Applies one access by `core`; accrues cycles to that core and returns
-  /// the access's modeled cost.
-  std::uint64_t on_access(std::uint32_t core, Address addr, AccessType type);
-
-  const NumaStats& stats() const { return stats_; }
-  const NumaConfig& config() const { return config_; }
-  std::uint32_t num_cores() const { return config_.total_cores(); }
-
-  std::uint64_t max_core_cycles() const {
-    std::uint64_t m = 0;
-    for (auto c : core_cycles_) m = std::max(m, c);
-    return m;
-  }
-  std::uint64_t core_cycles(std::uint32_t core) const {
-    return core_cycles_[core];
-  }
-  double modeled_seconds() const {
-    return static_cast<double>(max_core_cycles()) / (config_.clock_ghz * 1e9);
-  }
-
-  /// Invalidations sent for the private line containing `addr`.
-  std::uint64_t line_invalidations(Address addr) const;
-  /// Sum of per-line invalidations over every line overlapping
-  /// [start, start + size).
-  std::uint64_t invalidations_in(Address start, std::size_t size) const;
-
-  /// Per-line invalidations that were delivered to a core on a different
-  /// socket than the writer — the remote share of line_invalidations().
-  std::uint64_t line_remote_invalidations(Address addr) const;
-  std::uint64_t remote_invalidations_in(Address start, std::size_t size) const;
-
-  /// Every line the simulator has seen, for hot-line reporting. Returns
-  /// (line_base_address, invalidations, remote_invalidations) tuples.
-  struct HotLine {
-    Address line_start = 0;
-    std::uint64_t invalidations = 0;
-    std::uint64_t remote_invalidations = 0;
-  };
-  std::vector<HotLine> hottest_lines(std::size_t top_k) const;
-
-  /// Debug introspection for the directory-protocol property tests: the
-  /// full core- and socket-level state of the line containing `addr`.
-  struct LineProbe {
-    std::vector<std::uint32_t> sharer_cores;
-    std::int32_t owner_core = -1;
-    std::uint32_t socket_copies = 0;  ///< directory mask (LLC-line grain)
-    std::int32_t owner_socket = -1;   ///< socket of the dirty owner, or -1
-    bool touched = false;
-    std::uint64_t invalidations = 0;
-  };
-  std::optional<LineProbe> probe_line(Address addr) const;
-
-  void reset() {
-    lines_.clear();
-    dirs_.clear();
-    stats_ = NumaStats{};
-    core_cycles_.assign(config_.total_cores(), 0);
-  }
-
- private:
-  struct LineState {
-    CoreMask sharers;         ///< cores with a clean copy
-    std::int32_t owner = -1;  ///< core holding the line Modified, or -1
-    bool touched = false;
-    std::uint64_t invalidations = 0;
-    std::uint64_t remote_invalidations = 0;
-  };
-  /// Directory entry at the LLC line's home socket.
-  struct DirState {
-    std::uint32_t socket_copies = 0;  ///< sockets holding any copy
-    std::int32_t owner_socket = -1;   ///< socket with the dirty copy, or -1
-  };
-
-  std::uint32_t home_socket(std::size_t llc_index) const {
-    return static_cast<std::uint32_t>(llc_index % config_.sockets);
-  }
-  std::uint64_t scaled(std::uint64_t cost, bool remote) const {
-    return remote ? static_cast<std::uint64_t>(
-                        static_cast<double>(cost) * config_.remote_factor)
-                  : cost;
-  }
-  /// Updates the directory entry, counting a transition when it changes.
-  void dir_update(DirState& dir, std::uint32_t socket_copies,
-                  std::int32_t owner_socket);
-  /// Kills remote-socket core copies of the sibling private lines sharing
-  /// the written line's LLC line (only reachable when llc_line_size >
-  /// line_size). Returns the invalidation cost incurred by the writer.
-  std::uint64_t kill_llc_siblings(std::size_t written_line,
-                                  std::size_t llc_index, std::uint32_t socket);
-
-  NumaConfig config_;
-  std::unordered_map<std::size_t, LineState> lines_;
-  std::unordered_map<std::size_t, DirState> dirs_;
-  NumaStats stats_;
-  std::vector<std::uint64_t> core_cycles_;
-};
+using NumaCacheSim = CacheSim;
+using NumaStats = SimStats;
 
 }  // namespace pred

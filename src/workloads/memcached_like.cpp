@@ -3,6 +3,7 @@
 // sharing hotspot (the global item-count all workers bump), which PREDATOR's
 // word histograms must classify as true sharing, not report as false
 // sharing.
+#include <atomic>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -59,12 +60,13 @@ class MemcachedLike final : public WorkloadImpl<MemcachedLike> {
         *my_stats += hit ? 1 : 0;
         sink.write(my_stats, 8);
         if (!hit) {
-          // Miss path: insert, bumping the globally shared counter. Note:
-          // raced in live mode just like the original bug pattern; the
-          // checksum tolerates it.
+          // Miss path: insert, bumping the globally shared counter. It is
+          // atomic so live mode has no data race; the coherence traffic it
+          // makes is the same.
           sink.read(total_items, 8);
           sink.write(total_items, 8);
-          *total_items += 1;
+          std::atomic_ref<std::int64_t>(*total_items)
+              .fetch_add(1, std::memory_order_relaxed);
         }
       }
     });

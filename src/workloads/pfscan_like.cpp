@@ -2,6 +2,8 @@
 // occasionally record a match in a per-thread, heap-separated result slot.
 // No false sharing. A lightly-written shared match total stays below the
 // report threshold, mirroring why the paper finds nothing here.
+#include <atomic>
+
 #include "common/check.hpp"
 #include "common/prng.hpp"
 #include "workloads/workload.hpp"
@@ -55,7 +57,9 @@ class PfscanLike final : public WorkloadImpl<PfscanLike> {
       sink.write(matches[t], 8);
       sink.read(total, 8);
       sink.write(total, 8);
-      *total += local_matches;  // raced in live mode; checksum uses matches[]
+      // Atomic so live mode has no data race; the checksum uses matches[].
+      std::atomic_ref<std::uint64_t>(*total).fetch_add(
+          local_matches, std::memory_order_relaxed);
     });
 
     Result r;

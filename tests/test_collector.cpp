@@ -1,5 +1,5 @@
 // Tests for the fleet merge algebra (monitor/snapshot_merge.hpp) and the
-// sharded Collector (src/collect/):
+// Collector (src/collect/):
 //
 //   - algebra laws: the join is commutative, associative, and idempotent
 //     over randomized snapshot sets, so any delivery order / merge tree /
@@ -9,9 +9,9 @@
 //   - drop reconciliation: with real ring overflow, the rollup's
 //     [exact, exact+dropped] bounds cover a lossless oracle run of the
 //     identical event stream;
-//   - shard consistency: 64 simulated clients ingested concurrently
-//     through every shard configuration match the sequential oracle fold
-//     exactly, frames arriving in any order;
+//   - ingest consistency: frames arriving in any order, and 64 simulated
+//     clients ingested concurrently, match the sequential oracle fold
+//     exactly;
 //   - transports: loopback sink and corrupt-frame rejection.
 #include <gtest/gtest.h>
 
@@ -280,35 +280,30 @@ TEST(DropReconciliation, BoundsCoverLosslessOracle) {
   EXPECT_GE(rollup.samples_upper, lossless.samples);
 }
 
-TEST(Collector, MatchesOracleForEveryShardCountAndOrder) {
+TEST(Collector, MatchesOracleForEveryOrder) {
   const std::vector<Delivery> deliveries = synth_fleet(6, 8, 4);
   const FleetState oracle = fold(deliveries);
 
   std::mt19937_64 rng(123);
-  for (const std::size_t shards : {1u, 2u, 3u, 8u, 64u}) {
+  for (int order = 0; order < 5; ++order) {
     std::vector<Delivery> shuffled = deliveries;
     std::shuffle(shuffled.begin(), shuffled.end(), rng);
-    CollectorConfig config;
-    config.shards = shards;
-    Collector collector(config);
-    EXPECT_EQ(collector.num_shards(), shards);
+    Collector collector;
     for (const Delivery& d : shuffled) {
       collector.ingest(d.uid, d.pid, d.snap);
     }
-    EXPECT_TRUE(collector.state() == oracle) << shards << " shard(s)";
+    EXPECT_TRUE(collector.state() == oracle) << "order " << order;
   }
 }
 
 TEST(Collector, SixtyFourClientConcurrentIngestMatchesOracle) {
   // 64 simulated clients, frames interleaved across 8 ingest threads.
-  // Whatever the interleaving, the sharded state must equal the
+  // Whatever the interleaving, the collector's state must equal the
   // sequential oracle fold — that is the algebra's whole point.
   const std::vector<Delivery> deliveries = synth_fleet(7, 64, 3);
   const FleetState oracle = fold(deliveries);
 
-  CollectorConfig config;
-  config.shards = 8;
-  Collector collector(config);
+  Collector collector;
 
   // Pre-encode every frame, then blast them concurrently.
   std::vector<std::string> frames;

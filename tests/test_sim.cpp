@@ -4,11 +4,18 @@
 // costs more modeled time than a padded layout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <set>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "api/predator.hpp"
 #include "common/prng.hpp"
+#include "reference/flat_cache_sim.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/executor.hpp"
 #include "sim/fiber_executor.hpp"
@@ -216,6 +223,40 @@ TEST(NumaCacheSim, PlacementMapsCoresToSockets) {
   EXPECT_EQ(scatter.socket_of(7), 1u);
 }
 
+TEST(NumaCacheSim, ConfigConstructorsSpellTheMachine) {
+  const SimConfig flat(4);
+  EXPECT_EQ(flat.num_cores, 4u);
+  EXPECT_EQ(flat.line_size, 64u);  // the shared cost model's defaults
+  EXPECT_EQ(flat.coherence_miss_cost, 500u);
+  const NumaConfig numa(2, 3);
+  EXPECT_EQ(numa.sockets, 2u);
+  EXPECT_EQ(numa.cores_per_socket, 3u);
+  EXPECT_EQ(numa.line_size, 64u);
+  EXPECT_EQ(NumaCacheSim(numa).num_cores(), 6u);
+  // The flat machine is the 1-socket topology with its costs.
+  SimConfig priced(5);
+  priced.invalidation_cost = 7;
+  const CacheSim sim(priced);
+  EXPECT_EQ(sim.num_cores(), 5u);
+  EXPECT_EQ(sim.config().sockets, 1u);
+  EXPECT_EQ(sim.config().invalidation_cost, 7u);
+}
+
+TEST(NumaCacheSimDeathTest, ConstructorRejectsOutOfBoundsTopologies) {
+  // The core bound is checked by division, so a product that wraps to a
+  // small core count is still refused.
+  EXPECT_DEATH(NumaCacheSim(NumaConfig(16, 268435457)), "cores_per_socket");
+  EXPECT_DEATH(NumaCacheSim(NumaConfig(17, 1)), "sockets");
+  NumaConfig bad = two_by_four();
+  bad.remote_factor = std::nan("");
+  EXPECT_DEATH(NumaCacheSim{bad}, "remote_factor");
+  bad.remote_factor = HUGE_VAL;
+  EXPECT_DEATH(NumaCacheSim{bad}, "remote_factor");
+  bad = two_by_four();
+  bad.llc_line_size = std::size_t{1} << 40;
+  EXPECT_DEATH(NumaCacheSim{bad}, "llc_line_size");
+}
+
 TEST(NumaCacheSim, RemoteDirtyTransferCostsRemoteFactorMore) {
   // Cores 0/1 share a socket; cores 0/4 sit on different sockets (compact).
   NumaCacheSim local(two_by_four());
@@ -288,9 +329,9 @@ TEST(NumaCacheSim, NoSiblingKillsAtMatchedLineSizes) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential regression: 1-socket NumaCacheSim ≡ flat CacheSim, bit for
-// bit, across the full workload registry (the ISSUE's flat-equivalence
-// guarantee — any divergence is a bug in the directory path).
+// Differential regression: a 1-socket NumaCacheSim ≡ the flat reference
+// simulator (tests/reference/flat_cache_sim.hpp), bit for bit, across the
+// full workload registry — any divergence is a bug in the topology layer.
 // ---------------------------------------------------------------------------
 
 TEST(NumaDifferential, OneSocketBitIdenticalToFlatAcrossRegistry) {
@@ -303,7 +344,7 @@ TEST(NumaDifferential, OneSocketBitIdenticalToFlatAcrossRegistry) {
     p.threads = 8;
     const auto traces = w->capture(session, p);
 
-    CacheSim flat;  // 8 cores, default costs
+    FlatCacheSim flat;  // 8 cores, default costs
     NumaCacheSim numa(one_socket(8));
     simulate_interleaved(flat, traces, 1);
     simulate_interleaved(numa, traces, 1);
@@ -350,7 +391,7 @@ TEST(NumaDifferential, ConcurrentExecutorAgreesAtOneSocketToo) {
   p.threads = 8;
   const auto traces = w->capture(session, p);
 
-  CacheSim flat;
+  FlatCacheSim flat;
   NumaCacheSim numa(one_socket(8));
   const ConcurrentResult rf = simulate_concurrent(flat, traces);
   const ConcurrentResult rn = simulate_concurrent(numa, traces);
@@ -467,9 +508,7 @@ TEST(DirectoryProperty, ConservationInvariantsHoldOver64Seeds) {
 
     // Cross-implementation oracle: the flat simulator folding the same
     // order must agree on every topology-independent event count.
-    SimConfig flat_cfg;
-    flat_cfg.num_cores = 8;
-    CacheSim flat(flat_cfg);
+    FlatCacheSim flat(SimConfig{8});
     for (const GlobalAccess& a : order) flat.on_access(a.core, a.addr, a.type);
     EXPECT_EQ(flat.stats().hits, sim.stats().hits) << "seed " << seed;
     EXPECT_EQ(flat.stats().cold_misses, sim.stats().cold_misses)
@@ -521,6 +560,221 @@ TEST(DirectoryProperty, ConservationInvariantsHoldOver64Seeds) {
           << "entry does not record";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Topology golden digests: every registry workload at 8 threads on 2x4
+// compact and on 2x4 scatter with 128-byte LLC lines, plus the numa suite at
+// 64 threads on 4x16 scatter and at 192 threads on 2x96 compact with
+// 128-byte LLC lines (three sharer words per line), each replayed through
+// simulate_interleaved and simulate_concurrent. The table was captured with the two-simulator design
+// (a flat simulator plus a branch-for-branch NUMA mirror), so it pins the
+// single simulator's pricing, directory and sibling-kill bookkeeping to the
+// behavior of the mirror it replaced.
+//
+// Each digest is a 64-bit FNV-1a over, per executor run: every stats field,
+// every core's cycles, finish_cycles (concurrent run only), and every line
+// the traces touch — in rebased order — with its invalidations and remote
+// invalidations. Line addresses are rebased as "r<region>+<offset>" (the
+// registration ordinal of the session region holding them), as in
+// test_registry_golden, so heap placement stays out of the digest.
+// ---------------------------------------------------------------------------
+
+class Fnv1a {
+ public:
+  void bytes(std::string_view s) {
+    for (const char c : s) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= 1099511628211ull;
+    }
+  }
+  /// Little-endian, so the digest does not depend on the host byte order.
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+/// "r<i>+<offset>" for the session region holding `a`, else "abs+<a>".
+std::string rebase(Address a, const std::vector<const ShadowSpace*>& regions) {
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    const Address base = regions[i]->base();
+    const Address end =
+        base + regions[i]->num_lines() * regions[i]->geometry().line_size;
+    if (a >= base && a < end) {
+      return "r" + std::to_string(i) + "+" + std::to_string(a - base);
+    }
+  }
+  return "abs+" + std::to_string(a);
+}
+
+void digest_sim(Fnv1a& h, const NumaCacheSim& sim,
+                const std::vector<ThreadTrace>& traces,
+                const std::vector<const ShadowSpace*>& regions) {
+  const NumaStats& s = sim.stats();
+  for (const std::uint64_t v :
+       {s.accesses, s.hits, s.cold_misses, s.shared_fetches,
+        s.coherence_misses, s.invalidations_sent, s.total_cycles,
+        s.remote_coherence_misses, s.remote_shared_fetches,
+        s.remote_cold_misses, s.remote_invalidations_sent,
+        s.llc_sibling_invalidations, s.directory_transitions,
+        s.directory_invalidations}) {
+    h.u64(v);
+  }
+  for (std::uint32_t c = 0; c < sim.num_cores(); ++c) h.u64(sim.core_cycles(c));
+  const std::size_t line_size = sim.config().line_size;
+  std::set<std::pair<std::string, Address>> lines;
+  for (const ThreadTrace& t : traces) {
+    for (const TraceEvent& ev : t) {
+      const Address start = ev.addr / line_size * line_size;
+      lines.insert({rebase(start, regions), start});
+    }
+  }
+  for (const auto& [label, start] : lines) {
+    h.bytes(label);
+    h.u64(sim.line_invalidations(start));
+    h.u64(sim.line_remote_invalidations(start));
+  }
+}
+
+std::uint64_t topology_digest(const wl::Workload& w, std::uint32_t threads,
+                              const NumaConfig& cfg) {
+  SessionOptions o;
+  o.heap_size = 32 * 1024 * 1024;
+  Session session(o);
+  wl::Params p;
+  p.threads = threads;
+  const auto traces = w.capture(session, p);
+  std::vector<const ShadowSpace*> regions;
+  session.runtime().for_each_region(
+      [&](const ShadowSpace& r) { regions.push_back(&r); });
+
+  Fnv1a h;
+  NumaCacheSim interleaved(cfg);
+  simulate_interleaved(interleaved, traces, 1);
+  h.bytes("interleaved");
+  digest_sim(h, interleaved, traces, regions);
+  NumaCacheSim concurrent(cfg);
+  const ConcurrentResult r = simulate_concurrent(concurrent, traces);
+  h.bytes("concurrent");
+  h.u64(r.finish_cycles);
+  digest_sim(h, concurrent, traces, regions);
+  return h.value();
+}
+
+struct TopologyGolden {
+  const char* workload;
+  const char* topology;
+  std::uint64_t digest;
+};
+
+// clang-format off
+constexpr TopologyGolden kTopologyGolden[] = {
+    {"histogram", "2x4c", 0xabbe5de91d3a5b8bull},
+    {"histogram", "2x4s/128", 0x532bff44f748b74bull},
+    {"kmeans", "2x4c", 0x25fe4763803af990ull},
+    {"kmeans", "2x4s/128", 0xca00693abd336368ull},
+    {"linear_regression", "2x4c", 0x7a666a49137aa5d7ull},
+    {"linear_regression", "2x4s/128", 0x43a663417146f579ull},
+    {"matrix_multiply", "2x4c", 0x86112b9e14e7b19eull},
+    {"matrix_multiply", "2x4s/128", 0x4645d6ce0cf8429full},
+    {"pca", "2x4c", 0x74580c4f62b9bb9full},
+    {"pca", "2x4s/128", 0x46937b5ff937e98dull},
+    {"reverse_index", "2x4c", 0xe44df87aaed496beull},
+    {"reverse_index", "2x4s/128", 0x2b17fcdfbeece6afull},
+    {"string_match", "2x4c", 0xc4b626d12c60c3dbull},
+    {"string_match", "2x4s/128", 0x74948ae62c2223e6ull},
+    {"word_count", "2x4c", 0x19dabc8c664d8805ull},
+    {"word_count", "2x4s/128", 0xd92e04664dd5ba61ull},
+    {"blackscholes", "2x4c", 0x874ead6728fdffafull},
+    {"blackscholes", "2x4s/128", 0x010a10a684d6bc84ull},
+    {"bodytrack", "2x4c", 0x8e89db529fec3ddaull},
+    {"bodytrack", "2x4s/128", 0x91d87e842226a3daull},
+    {"dedup", "2x4c", 0xb5593d82cc19d3d7ull},
+    {"dedup", "2x4s/128", 0x7db7a645ff1c8ee7ull},
+    {"ferret", "2x4c", 0x9870b16b9edf8facull},
+    {"ferret", "2x4s/128", 0x8d4c3c446e49eb21ull},
+    {"fluidanimate", "2x4c", 0x329a055219b74da5ull},
+    {"fluidanimate", "2x4s/128", 0x56ec0bec9d73e3b1ull},
+    {"streamcluster", "2x4c", 0xe1a40c0fb5d264dbull},
+    {"streamcluster", "2x4s/128", 0xfa94640ae64d2ac9ull},
+    {"swaptions", "2x4c", 0xcbe18b64d4264322ull},
+    {"swaptions", "2x4s/128", 0xce9cb46dc95e69f0ull},
+    {"x264", "2x4c", 0xb3220081f017cecfull},
+    {"x264", "2x4s/128", 0x8d160c5cb052493bull},
+    {"aget", "2x4c", 0x678485fe29c7823aull},
+    {"aget", "2x4s/128", 0x3aec92860d86bc13ull},
+    {"boost", "2x4c", 0xc13356240de78231ull},
+    {"boost", "2x4s/128", 0xa6f66e9a9fd2ded6ull},
+    {"memcached", "2x4c", 0xfdade1519b7af07eull},
+    {"memcached", "2x4s/128", 0x8b30bd3df5bad11cull},
+    {"mysql", "2x4c", 0x5f6f9dee7fac80c5ull},
+    {"mysql", "2x4s/128", 0x41239cb485724304ull},
+    {"pbzip2", "2x4c", 0x2e528406d711dd19ull},
+    {"pbzip2", "2x4s/128", 0x3b689050a4bcbf47ull},
+    {"pfscan", "2x4c", 0x4cb2f3ef977dc53eull},
+    {"pfscan", "2x4s/128", 0x4090839ad4d18b0bull},
+    {"blocked_matrix", "2x4c", 0x9a874c98210cfb0aull},
+    {"blocked_matrix", "2x4s/128", 0x32401a289b8998f2ull},
+    {"numa_pingpong", "2x4c", 0x26d53374488cdf02ull},
+    {"numa_pingpong", "2x4s/128", 0x4d66784d00cd1359ull},
+    {"tensor_parallel", "2x4c", 0x60b8af22bee59f0full},
+    {"tensor_parallel", "2x4s/128", 0xaf729c8484b64029ull},
+    {"blocked_matrix", "4x16s", 0xc9bc26ac3ef9e33full},
+    {"blocked_matrix", "2x96c/128", 0xd631c9e62c893b06ull},
+    {"numa_pingpong", "4x16s", 0xf1850874947382a8ull},
+    {"numa_pingpong", "2x96c/128", 0xedcb0d6a95dde896ull},
+    {"tensor_parallel", "4x16s", 0xe7c920e0a3af3acfull},
+    {"tensor_parallel", "2x96c/128", 0x01693d6881cbbc3dull},
+};
+// clang-format on
+
+std::string golden_row(std::string_view name, std::string_view topology,
+                       std::uint64_t digest) {
+  char row[128];
+  std::snprintf(row, sizeof row, "    {\"%.*s\", \"%.*s\", 0x%016llxull},\n",
+                static_cast<int>(name.size()), name.data(),
+                static_cast<int>(topology.size()), topology.data(),
+                static_cast<unsigned long long>(digest));
+  return row;
+}
+
+TEST(TopologyGolden, EveryConfigurationMatchesItsDigest) {
+  NumaConfig compact = two_by_four(NumaPlacement::kCompact);
+  NumaConfig scatter128 = two_by_four(NumaPlacement::kScatter);
+  scatter128.llc_line_size = 128;
+  NumaConfig big;
+  big.sockets = 4;
+  big.cores_per_socket = 16;
+  big.placement = NumaPlacement::kScatter;
+
+  std::string golden;
+  for (const TopologyGolden& g : kTopologyGolden) {
+    golden += golden_row(g.workload, g.topology, g.digest);
+  }
+  std::string actual;
+  for (const auto& w : wl::all_workloads()) {
+    const std::string& name = w->traits().name;
+    actual += golden_row(name, "2x4c", topology_digest(*w, 8, compact));
+    actual += golden_row(name, "2x4s/128",
+                         topology_digest(*w, 8, scatter128));
+  }
+  NumaConfig wide(2, 96);  // three sharer words per line
+  wide.llc_line_size = 128;
+  for (const auto& w : wl::all_workloads()) {
+    if (w->traits().suite != "numa") continue;
+    actual += golden_row(w->traits().name, "4x16s",
+                         topology_digest(*w, 64, big));
+    actual += golden_row(w->traits().name, "2x96c/128",
+                         topology_digest(*w, 192, wide));
+  }
+  EXPECT_EQ(actual, golden);
 }
 
 TEST(TraceRecorder, CapturesTypesSizesAndAddresses) {

@@ -43,6 +43,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -68,7 +69,7 @@
 #include "report_io/report_diff.hpp"
 #include "report_io/report_json.hpp"
 #include "report_io/snapshot_json.hpp"
-#include "sim/numa_cache_sim.hpp"
+#include "sim/cache_sim.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/workload.hpp"
 
@@ -99,7 +100,6 @@ struct CliOptions {
   std::string socket_path;
   std::uint64_t serve_expect = 0;  ///< exit after N goodbyes (0: until killed)
   std::uint64_t serve_interval_ms = 0;  ///< rolling rollup period (0: off)
-  std::uint64_t shards = 0;        ///< collector shards (0: hw concurrency)
   std::uint64_t top_k = 16;
   bool fleet_mode = false;
   std::uint64_t fleet_clients = 4;
@@ -179,7 +179,6 @@ void usage(const char* argv0) {
       "fleet aggregation:\n"
       "  serve --socket PATH    run a collector daemon on a unix socket\n"
       "    --expect N           exit once N clients said goodbye\n"
-      "    --shards N           ingest shards (default: hw concurrency)\n"
       "    --top-k N            hot lines kept in the rollup (default 16)\n"
       "    --interval-ms N      also print a rolling rollup every N ms\n"
       "  --emit-to PATH         stream this run's snapshots to a collector\n"
@@ -284,21 +283,36 @@ bool parse_args(int argc, char** argv, CliOptions* opt) {
       opt->replay_quantum = v;
     } else if (arg == "--topology") {
       const char* s = next("--topology");
-      unsigned sockets = 0, cores = 0;
-      if (!s || std::sscanf(s, "%ux%u", &sockets, &cores) != 2 ||
-          sockets < 1 || sockets > 16 || cores < 1 ||
-          sockets * cores > NumaCacheSim::kMaxCores) {
-        std::fprintf(stderr, "bad --topology (want SxC, e.g. 2x4)\n");
+      if (!s) return false;
+      // Bounds checked by division, so no S*C product can wrap.
+      const char* x = std::strchr(s, 'x');
+      std::uint64_t sockets = 0, cores = 0;
+      if (x == nullptr || !parse_u64(std::string(s, x).c_str(), &sockets) ||
+          !parse_u64(x + 1, &cores) || sockets < 1 ||
+          sockets > CacheSim::kMaxSockets || cores < 1 ||
+          cores > CacheSim::kMaxCores / sockets) {
+        std::fprintf(stderr,
+                     "bad --topology (want SxC with 1 <= S <= %u and S*C "
+                     "<= %u, e.g. 2x4)\n",
+                     CacheSim::kMaxSockets, CacheSim::kMaxCores);
         return false;
       }
       opt->topology_set = true;
-      opt->topology.sockets = sockets;
-      opt->topology.cores_per_socket = cores;
+      opt->topology.sockets = static_cast<std::uint32_t>(sockets);
+      opt->topology.cores_per_socket = static_cast<std::uint32_t>(cores);
     } else if (arg == "--remote-factor") {
       const char* s = next("--remote-factor");
       if (!s) return false;
-      const double f = std::atof(s);
-      if (f < 1.0) return false;
+      char* end = nullptr;
+      const double f = std::strtod(s, &end);
+      if (end == s || *end != '\0' || !std::isfinite(f) || f < 1.0 ||
+          f > CacheSim::kMaxRemoteFactor) {
+        std::fprintf(stderr,
+                     "bad --remote-factor (want a finite number in [1, "
+                     "%g])\n",
+                     CacheSim::kMaxRemoteFactor);
+        return false;
+      }
       opt->topology.remote_factor = f;
     } else if (arg == "--placement") {
       const char* s = next("--placement");
@@ -313,7 +327,13 @@ bool parse_args(int argc, char** argv, CliOptions* opt) {
       }
     } else if (arg == "--llc-line") {
       const char* s = next("--llc-line");
-      if (!s || !parse_u64(s, &v) || v < 64 || v % 64 != 0) return false;
+      if (!s || !parse_u64(s, &v) || v < 64 || v % 64 != 0 ||
+          v > CacheSim::kMaxLlcLineSize) {
+        std::fprintf(stderr,
+                     "bad --llc-line (want a multiple of 64 up to %zu)\n",
+                     CacheSim::kMaxLlcLineSize);
+        return false;
+      }
       opt->topology.llc_line_size = v;
     } else if (arg == "--json") {
       opt->json = true;
@@ -352,10 +372,6 @@ bool parse_args(int argc, char** argv, CliOptions* opt) {
       const char* s = next("--expect");
       if (!s || !parse_u64(s, &v)) return false;
       opt->serve_expect = v;
-    } else if (arg == "--shards") {
-      const char* s = next("--shards");
-      if (!s || !parse_u64(s, &v) || v > 64) return false;
-      opt->shards = v;
     } else if (arg == "--top-k") {
       const char* s = next("--top-k");
       if (!s || !parse_u64(s, &v) || v == 0) return false;
@@ -404,11 +420,11 @@ void run_topology_sim(const CliOptions& opt, Session& session,
   base.sockets = 1;
   base.cores_per_socket = cfg.total_cores();
   base.llc_line_size = cfg.line_size;
-  NumaCacheSim local(base);
-  NumaCacheSim numa(cfg);
+  CacheSim local(base);
+  CacheSim numa(cfg);
   simulate_interleaved(local, traces, opt.replay_quantum);
   simulate_interleaved(numa, traces, opt.replay_quantum);
-  const NumaStats& s = numa.stats();
+  const SimStats& s = numa.stats();
   const double ratio =
       local.max_core_cycles() == 0
           ? 1.0
@@ -632,10 +648,9 @@ int run_serve(const CliOptions& opt) {
     std::fprintf(stderr, "cannot listen on %s\n", opt.socket_path.c_str());
     return 1;
   }
-  Collector collector({static_cast<std::size_t>(opt.shards),
-                       static_cast<std::size_t>(opt.top_k)});
-  std::fprintf(stderr, "collector: listening on %s (%zu shard(s))\n",
-               opt.socket_path.c_str(), collector.num_shards());
+  Collector collector({static_cast<std::size_t>(opt.top_k)});
+  std::fprintf(stderr, "collector: listening on %s\n",
+               opt.socket_path.c_str());
 
   std::vector<ClientConn> conns;
   const bool periodic = opt.serve_interval_ms != 0;
@@ -730,8 +745,7 @@ int run_serve(const CliOptions& opt) {
 // all into an in-process collector, and prints the fleet rollup. Children
 // replay captured traces, so the demo is deterministic even on one core.
 int run_fleet(const CliOptions& opt, const wl::Workload* w) {
-  Collector collector({static_cast<std::size_t>(opt.shards),
-                       static_cast<std::size_t>(opt.top_k)});
+  Collector collector({static_cast<std::size_t>(opt.top_k)});
   std::vector<ClientConn> conns;
   std::vector<pid_t> pids;
 
