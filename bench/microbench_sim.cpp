@@ -5,10 +5,13 @@
 // Phase A — simulation throughput: replay the captured numa_pingpong traces
 //   through the flat reference simulator (tests/reference/flat_cache_sim.hpp)
 //   and through the production CacheSim at 1 socket and at 4x16 scatter,
-//   reporting accesses/sec each as the median of kRepeats repeats (the three
-//   rows interleave within each repeat). The 1-socket-over-flat ratio —
+//   reporting accesses/sec each as the median of kRepeats repeats (the rows
+//   interleave within each repeat). The 1-socket-over-flat ratio —
 //   the median of the per-repeat ratios — is what directory bookkeeping and
-//   socket pricing cost per access.
+//   socket pricing cost per access. Two more rows time the saved-trace
+//   topology path's other layers: simulate_concurrent on the 4x16 machine
+//   (accesses/sec) and load_traces of the same traces from an in-memory
+//   stream (MB/s, frame CRCs included).
 //
 // Phase B — the latency model: modeled total cycles at 4x16 scatter over
 //   the 1-socket baseline on the same traces. The packed slots ping-pong
@@ -21,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +32,7 @@
 #include "flat_cache_sim.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/executor.hpp"
+#include "trace/trace_io.hpp"
 
 namespace {
 
@@ -61,6 +66,31 @@ double time_replays(const Config& config, int iters,
   for (int i = 0; i < iters; ++i) {
     Sim sim(config);
     *sink += simulate_interleaved(sim, traces).total_cycles;
+  }
+  return seconds_since(start);
+}
+
+/// Seconds for `iters` event-driven replays on fresh simulators.
+double time_concurrent(const pred::NumaConfig& config, int iters,
+                       const std::vector<pred::ThreadTrace>& traces,
+                       std::uint64_t* sink) {
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) {
+    pred::CacheSim sim(config);
+    *sink += pred::simulate_concurrent(sim, traces).finish_cycles;
+  }
+  return seconds_since(start);
+}
+
+/// Seconds to load the saved trace stream `bytes` `iters` times; 0 if a
+/// load fails.
+double time_loads(const std::string& bytes, int iters, std::uint64_t* sink) {
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) {
+    std::istringstream in(bytes);
+    std::vector<pred::ThreadTrace> loaded;
+    if (!pred::load_traces(in, &loaded)) return 0;
+    *sink += pred::total_events(loaded);
   }
   return seconds_since(start);
 }
@@ -99,9 +129,18 @@ int main(int argc, char** argv) {
   big.placement = pred::NumaPlacement::kScatter;
 
   // Phase A — replay throughput, flat reference vs production.
+  std::ostringstream saved;
+  if (!pred::save_traces(saved, traces)) {
+    std::fprintf(stderr, "cannot save the traces\n");
+    return 1;
+  }
+  const std::string trace_bytes = saved.str();
+
   const double evs = static_cast<double>(events) * iters;
+  const double mbs = static_cast<double>(trace_bytes.size()) * iters / 1e6;
   std::uint64_t sink = 0;
   std::vector<double> flat_rates, numa1_rates, numa4_rates, ratios;
+  std::vector<double> concurrent_rates, load_rates;
   for (int r = 0; r < kRepeats; ++r) {
     const double flat_s =
         time_replays<pred::FlatCacheSim>(flat_cfg, iters, traces, &sink);
@@ -113,6 +152,14 @@ int main(int argc, char** argv) {
     numa1_rates.push_back(evs / numa1_s);
     numa4_rates.push_back(evs / numa4_s);
     ratios.push_back(flat_s / numa1_s);
+    concurrent_rates.push_back(evs /
+                               time_concurrent(big, iters, traces, &sink));
+    const double load_s = time_loads(trace_bytes, iters, &sink);
+    if (load_s == 0) {
+      std::fprintf(stderr, "saved traces do not load\n");
+      return 1;
+    }
+    load_rates.push_back(mbs / load_s);
   }
   const double flat_aps = median(flat_rates);
   const double numa1_aps = median(numa1_rates);
@@ -120,6 +167,8 @@ int main(int argc, char** argv) {
   // >= 1.0 would mean the topology layer is free; the floor guards it from
   // becoming pathologically expensive (directory work ballooning per access).
   const double overhead_ratio = median(ratios);
+  const double concurrent_aps = median(concurrent_rates);
+  const double load_mbps = median(load_rates);
 
   // Phase B — the modeled-latency ratio the topology exists to produce.
   pred::CacheSim local_sim(one_socket);
@@ -142,6 +191,12 @@ int main(int argc, char** argv) {
               numa1_aps, overhead_ratio);
   std::printf("CacheSim 4x16:        %12.0f accesses/s (median)\n",
               numa4_aps);
+  std::printf("concurrent 4x16:      %12.0f accesses/s (median, "
+              "simulate_concurrent)\n",
+              concurrent_aps);
+  std::printf("trace load:           %12.1f MB/s (median, %zu-byte "
+              "stream)\n",
+              load_mbps, trace_bytes.size());
   std::printf("modeled cycles: 1-socket %llu, 4x16 scatter %llu "
               "(remote/local %.2fx)\n",
               static_cast<unsigned long long>(local.total_cycles),
@@ -159,6 +214,8 @@ int main(int argc, char** argv) {
     json.add("sim_flat_accesses_per_sec", flat_aps);
     json.add("sim_numa1_accesses_per_sec", numa1_aps);
     json.add("sim_numa4_accesses_per_sec", numa4_aps);
+    json.add("sim_concurrent_accesses_per_sec", concurrent_aps);
+    json.add("trace_load_mb_per_sec", load_mbps);
     json.add("sim_numa_overhead_ratio", overhead_ratio);
     json.add("sim_remote_local_ratio", remote_local_ratio);
     if (!json.write_file(json_path)) {

@@ -1,5 +1,6 @@
 #include "collect/transport.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -30,9 +31,28 @@ void FrameStreamParser::feed(std::string_view bytes) {
   // streams don't grow without bound.
   if (consumed_ > 4096 && consumed_ * 2 > buf_.size()) {
     buf_.erase(0, consumed_);
+    next_header_ -= consumed_;
     consumed_ = 0;
   }
-  buf_.append(bytes.data(), bytes.size());
+  // Buffer up to the end of the next unchecked header, check it, then up
+  // to the end of its payload, and so on.
+  while (!bytes.empty()) {
+    const std::size_t header_end = next_header_ + wire::kFrameHeaderSize;
+    const std::size_t until =
+        buf_.size() < next_header_ ? next_header_ : header_end;
+    const std::size_t take = std::min(bytes.size(), until - buf_.size());
+    buf_.append(bytes.data(), take);
+    bytes.remove_prefix(take);
+    if (buf_.size() != header_end) continue;
+    wire::FrameHeader header;
+    error_ = wire::parse_header(buf_.data() + next_header_, &header);
+    if (error_ == wire::FrameError::kOk &&
+        header.length > kMaxFrameLength) {
+      error_ = wire::FrameError::kTooLarge;
+    }
+    if (poisoned()) return;
+    next_header_ = header_end + header.length;
+  }
 }
 
 bool FrameStreamParser::next(wire::Frame* out) {

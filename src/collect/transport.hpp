@@ -15,13 +15,16 @@
 //                         complete verified frames. A corrupt prefix
 //                         poisons the stream (there is no resync point in
 //                         a byte stream whose framing you can no longer
-//                         trust).
+//                         trust), and so does a header claiming more than
+//                         kMaxFrameLength bytes, before its payload is
+//                         buffered.
 //
 // Plus the small POSIX helpers the CLI daemon/fleet demo need: socketpair
 // creation, unix-socket listen/connect, and write-fully.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -71,13 +74,22 @@ class FdSink : public SnapshotSink {
 /// Reassembles frames from an arbitrary chunking of the byte stream.
 class FrameStreamParser {
  public:
-  /// Appends raw transport bytes.
+  /// Largest payload a frame may claim. Snapshot, hello, goodbye and plan
+  /// frames are far smaller; the cap bounds what one peer can make the
+  /// collector buffer.
+  static constexpr std::uint32_t kMaxFrameLength = 64u << 20;
+
+  /// Appends raw transport bytes. Each frame header is checked as soon as
+  /// its 16 bytes are in, before any of its payload is buffered: a bad
+  /// magic, a version skew or a claim over kMaxFrameLength (kTooLarge)
+  /// poisons the stream at once, and the rest of the chunk is discarded
+  /// along with any frames still buffered ahead of the header.
   void feed(std::string_view bytes);
 
   /// Extracts the next complete frame. Returns false when more bytes are
   /// needed — or when the stream is poisoned; check error() to tell the
   /// two apart. Verified-bad input (wrong magic, CRC mismatch, version
-  /// skew) permanently poisons the parser.
+  /// skew, oversized claim) permanently poisons the parser.
   bool next(wire::Frame* out);
 
   /// kOk / kTruncated mean "healthy, waiting for bytes"; anything else is
@@ -95,6 +107,9 @@ class FrameStreamParser {
  private:
   std::string buf_;
   std::size_t consumed_ = 0;
+  /// Offset in buf_ of the next frame header feed() has not checked yet;
+  /// every byte before it belongs to a frame whose header passed.
+  std::size_t next_header_ = 0;
   wire::FrameError error_ = wire::FrameError::kOk;
 };
 

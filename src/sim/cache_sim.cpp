@@ -10,7 +10,7 @@ CacheSim::CacheSim(const NumaConfig& config) : config_(config) {
   PRED_CHECK(config.sockets >= 1 && config.sockets <= kMaxSockets);
   PRED_CHECK(config.cores_per_socket >= 1 &&
              config.cores_per_socket <= kMaxCores / config.sockets);
-  PRED_CHECK(config.line_size > 0);
+  PRED_CHECK(std::has_single_bit(config.line_size));
   PRED_CHECK(config.llc_line_size >= config.line_size &&
              config.llc_line_size % config.line_size == 0 &&
              config.llc_line_size <= kMaxLlcLineSize);
@@ -28,6 +28,7 @@ CacheSim::CacheSim(const NumaConfig& config) : config_(config) {
   remote_.coherence_miss_cost = scaled(config.coherence_miss_cost);
   remote_.invalidation_cost = scaled(config.invalidation_cost);
 
+  line_shift_ = std::countr_zero(config.line_size);
   inline_dir_ = config.llc_line_size == config.line_size;
   const std::uint32_t cores = config.total_cores();
   words_ = (cores + 63) / 64;
@@ -41,13 +42,13 @@ CacheSim::CacheSim(const NumaConfig& config) : config_(config) {
   core_cycles_.assign(cores, 0);
 }
 
-CacheSim::LineState& CacheSim::line_state(std::size_t line) {
-  const auto [it, fresh] = lines_.try_emplace(line);
-  if (fresh && words_ > 1) {
-    it->second.more = static_cast<std::uint32_t>(more_sharers_.size());
+CacheSim::LineState& CacheSim::line_state(std::size_t line, bool* fresh) {
+  LineState& st = lines_.insert(line, fresh);
+  if (*fresh && words_ > 1) {
+    st.more = static_cast<std::uint32_t>(more_sharers_.size());
     more_sharers_.resize(more_sharers_.size() + words_ - 1, 0);
   }
-  return it->second;
+  return st;
 }
 
 std::uint64_t CacheSim::cold_miss(std::size_t llc, std::uint32_t socket) {
@@ -89,9 +90,9 @@ std::uint64_t CacheSim::kill_llc_siblings(std::size_t written_line,
   const std::size_t first = llc_index * ratio;
   for (std::size_t line = first; line < first + ratio; ++line) {
     if (line == written_line) continue;
-    const auto it = lines_.find(line);
-    if (it == lines_.end()) continue;
-    LineState& sib = it->second;
+    LineState* const found = lines_.find(line);
+    if (found == nullptr) continue;
+    LineState& sib = *found;
     // Remote sockets drop the whole LLC line, so their cores lose every
     // private line inside it; the writer's own socket keeps its copies.
     std::uint64_t n = 0;
@@ -116,9 +117,10 @@ std::uint64_t CacheSim::kill_llc_siblings(std::size_t written_line,
 std::uint64_t CacheSim::on_access(std::uint32_t core, Address addr,
                                   AccessType type) {
   PRED_CHECK(core < num_cores());
-  const std::size_t line = addr / config_.line_size;
+  const std::size_t line = addr >> line_shift_;
   const std::size_t llc = inline_dir_ ? line : addr / config_.llc_line_size;
-  LineState& st = line_state(line);
+  bool fresh;
+  LineState& st = line_state(line, &fresh);
   DirState& dir = inline_dir_ ? st.dir : dirs_[llc];
   const std::uint32_t socket = socket_of_[core];
   const std::uint32_t my_socket_bit = 1u << socket;
@@ -140,7 +142,7 @@ std::uint64_t CacheSim::on_access(std::uint32_t core, Address addr,
       st.owner = -1;
       dir_update(dir,
                  dir.socket_copies | (1u << owner_socket) | my_socket_bit, -1);
-    } else if (!st.touched) {
+    } else if (fresh) {
       cost = cold_miss(llc, socket);
       add_sharer(st, core);
       dir_update(dir, dir.socket_copies | my_socket_bit, dir.owner_socket);
@@ -181,7 +183,7 @@ std::uint64_t CacheSim::on_access(std::uint32_t core, Address addr,
 
       if (remote_dirty) {
         cost = coherence_miss(socket_of_[st.owner] != socket);
-      } else if (!st.touched) {
+      } else if (fresh) {
         cost = cold_miss(llc, socket);
       } else if (killed > 0) {
         // Upgrade: line present somewhere clean; pay invalidation traffic,
@@ -208,7 +210,6 @@ std::uint64_t CacheSim::on_access(std::uint32_t core, Address addr,
     }
   }
 
-  st.touched = true;
   core_cycles_[core] += cost;
   stats_.total_cycles += cost;
   return cost;
@@ -217,12 +218,11 @@ std::uint64_t CacheSim::on_access(std::uint32_t core, Address addr,
 std::uint64_t CacheSim::sum_lines(Address start, std::size_t size,
                                   std::uint64_t LineState::*field) const {
   if (size == 0) return 0;
-  const std::size_t first = start / config_.line_size;
-  const std::size_t last = (start + size - 1) / config_.line_size;
+  const std::size_t first = start >> line_shift_;
+  const std::size_t last = (start + size - 1) >> line_shift_;
   std::uint64_t total = 0;
   for (std::size_t line = first; line <= last; ++line) {
-    const auto it = lines_.find(line);
-    if (it != lines_.end()) total += it->second.*field;
+    if (const LineState* st = lines_.find(line)) total += st->*field;
   }
   return total;
 }
@@ -249,11 +249,11 @@ std::vector<CacheSim::HotLine> CacheSim::hottest_lines(
     std::size_t top_k) const {
   std::vector<HotLine> all;
   all.reserve(lines_.size());
-  for (const auto& [line, st] : lines_) {
-    if (st.invalidations == 0) continue;
-    all.push_back({static_cast<Address>(line * config_.line_size),
+  lines_.for_each([&](std::size_t line, const LineState& st) {
+    if (st.invalidations == 0) return;
+    all.push_back({static_cast<Address>(line << line_shift_),
                    st.invalidations, st.remote_invalidations});
-  }
+  });
   std::sort(all.begin(), all.end(), [](const HotLine& a, const HotLine& b) {
     if (a.invalidations != b.invalidations) {
       return a.invalidations > b.invalidations;
@@ -265,10 +265,9 @@ std::vector<CacheSim::HotLine> CacheSim::hottest_lines(
 }
 
 std::optional<CacheSim::LineProbe> CacheSim::probe_line(Address addr) const {
-  const std::size_t line = addr / config_.line_size;
-  const auto it = lines_.find(line);
-  if (it == lines_.end()) return std::nullopt;
-  const LineState& st = it->second;
+  const LineState* const found = lines_.find(addr >> line_shift_);
+  if (found == nullptr) return std::nullopt;
+  const LineState& st = *found;
   LineProbe probe;
   for (std::uint32_t c = 0; c < num_cores(); ++c) {
     if (holds_clean(st, c)) probe.sharer_cores.push_back(c);

@@ -28,9 +28,11 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cacheline.hpp"
@@ -238,10 +240,88 @@ class CacheSim {
     std::uint64_t invalidations = 0;         ///< copies killed on this line
     std::uint64_t remote_invalidations = 0;  ///< ... on another socket
     DirState dir;  ///< the directory entry when llc_line_size == line_size
-    bool touched = false;  ///< line ever fetched (cold-miss detection)
+    /// Line ever fetched. Only accesses create entries, so every line in the
+    /// table is touched: the flag doubles as the table's in-use mark.
+    bool touched = false;
   };
 
-  LineState& line_state(std::size_t line);
+  /// The private-line table: open addressing over a power-of-two array,
+  /// Fibonacci hashing, linear probing, grown at half full. Lines are never
+  /// erased (reset() clears the whole table), so probing needs no
+  /// tombstones.
+  class LineTable {
+   public:
+    struct Slot {
+      std::size_t line = 0;
+      LineState state;
+    };
+
+    const LineState* find(std::size_t line) const {
+      if (slots_.empty()) return nullptr;
+      const Slot& s = slots_[probe(line)];
+      return s.state.touched ? &s.state : nullptr;
+    }
+    LineState* find(std::size_t line) {
+      return const_cast<LineState*>(std::as_const(*this).find(line));
+    }
+    /// The entry for `line`, created (and marked touched) when absent;
+    /// `*fresh` says which. May move every entry.
+    LineState& insert(std::size_t line, bool* fresh) {
+      std::size_t i = slots_.empty() ? 0 : probe(line);
+      *fresh = slots_.empty() || !slots_[i].state.touched;
+      if (!*fresh) return slots_[i].state;
+      if ((used_ + 1) * 2 > slots_.size()) {
+        grow();
+        i = probe(line);
+      }
+      ++used_;
+      slots_[i].line = line;
+      slots_[i].state.touched = true;
+      return slots_[i].state;
+    }
+    std::size_t size() const { return used_; }
+    void clear() {
+      slots_.clear();
+      used_ = 0;
+      shift_ = 64;
+    }
+    /// Calls fn(line, state) for every entry, in table order.
+    template <typename F>
+    void for_each(F&& fn) const {
+      for (const Slot& s : slots_) {
+        if (s.state.touched) fn(s.line, s.state);
+      }
+    }
+
+   private:
+    /// The slot holding `line`, or the empty slot where it would go.
+    std::size_t probe(std::size_t line) const {
+      const std::size_t mask = slots_.size() - 1;
+      std::size_t i = static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(line) * 0x9e3779b97f4a7c15ull) >>
+          shift_);
+      while (slots_[i].state.touched && slots_[i].line != line) {
+        i = (i + 1) & mask;
+      }
+      return i;
+    }
+    void grow() {
+      std::vector<Slot> old(std::max<std::size_t>(256, slots_.size() * 2));
+      old.swap(slots_);
+      shift_ = 64 - std::countr_zero(slots_.size());
+      for (const Slot& s : old) {
+        if (s.state.touched) slots_[probe(s.line)] = s;
+      }
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;
+    int shift_ = 64;  ///< 64 - log2(capacity): keeps the hash's top bits
+  };
+
+  /// The entry for `line`, created on first use; `*fresh` says whether it
+  /// was (a cold line).
+  LineState& line_state(std::size_t line, bool* fresh);
   bool holds_clean(const LineState& st, std::uint32_t core) const {
     return core < 64 ? (st.sharers >> core) & 1u
                      : (more_sharers_[st.more + core / 64 - 1] >>
@@ -279,6 +359,7 @@ class CacheSim {
                           std::uint64_t LineState::*field) const;
 
   NumaConfig config_;
+  int line_shift_;    ///< log2(line_size)
   CostModel remote_;  ///< config_'s costs scaled by remote_factor
   bool inline_dir_;   ///< llc_line_size == line_size
   std::uint32_t words_;                 ///< sharer words per line
@@ -286,7 +367,7 @@ class CacheSim {
   /// Per-socket core masks, words_ words per socket.
   std::vector<std::uint64_t> socket_cores_;
 
-  std::unordered_map<std::size_t, LineState> lines_;
+  LineTable lines_;
   std::unordered_map<std::size_t, DirState> dirs_;  ///< coarse-LLC grain only
   std::vector<std::uint64_t> more_sharers_;
   SimStats stats_;

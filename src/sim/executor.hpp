@@ -86,12 +86,20 @@ typename Sim::Stats simulate_interleaved(Sim& sim,
   return sim.stats();
 }
 
-/// Event-driven concurrent execution: each thread owns a clock; at every
-/// step the globally-earliest thread issues its next access and advances by
-/// its think time plus the access's modeled cost. This is the timing model
-/// used for the paper's runtime figures — threads suffering coherence
-/// misses fall behind exactly as real cores do. Returns the stats; modeled
-/// runtime is the maximum finishing clock, exposed via `finish_cycles`.
+/// Event-driven concurrent execution: each thread owns a clock, and the
+/// thread with the earliest clock (ties to the lowest index) issues its next
+/// access, advancing by its think time plus the access's modeled cost. This
+/// is the timing model used for the paper's runtime figures — threads
+/// suffering coherence misses fall behind exactly as real cores do. Returns
+/// the stats; modeled runtime is the maximum finishing clock, exposed via
+/// `finish_cycles`.
+///
+/// The schedule is computed run-until-overtaken: one scan finds the earliest
+/// and second-earliest live threads, and the earliest keeps issuing until
+/// its clock passes the second one's — or ties it when the second has the
+/// lower index — or its trace ends. Only then is the scan repeated. Other
+/// clocks do not move while one thread runs, so this is exactly the
+/// per-access earliest-first order. Thread t runs on core t % num_cores.
 struct ConcurrentResult {
   SimStats stats;
   std::uint64_t finish_cycles = 0;
@@ -105,22 +113,44 @@ ConcurrentResult simulate_concurrent(Sim& sim,
   const std::size_t n = traces.size();
   std::vector<std::size_t> cursor(n, 0);
   std::vector<std::uint64_t> clock(n, 0);
+  std::vector<std::uint32_t> core(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    core[t] = static_cast<std::uint32_t>(t % sim.num_cores());
+  }
 
-  ConcurrentResult result;
   while (true) {
-    // Pick the earliest thread that still has work.
+    // The earliest and second-earliest threads that still have work; the
+    // in-order scan with strict compares breaks ties to the lower index.
     std::size_t best = n;
+    std::size_t second = n;
     for (std::size_t t = 0; t < n; ++t) {
       if (cursor[t] >= traces[t].size()) continue;
-      if (best == n || clock[t] < clock[best]) best = t;
+      if (best == n || clock[t] < clock[best]) {
+        second = best;
+        best = t;
+      } else if (second == n || clock[t] < clock[second]) {
+        second = t;
+      }
     }
     if (best == n) break;
-    const TraceEvent& ev = traces[best][cursor[best]++];
-    const std::uint32_t core =
-        static_cast<std::uint32_t>(best % sim.num_cores());
-    const std::uint64_t cost = sim.on_access(core, ev.addr, ev.type);
-    clock[best] += ev.think_cycles + cost;
+
+    const ThreadTrace& trace = traces[best];
+    const std::uint32_t best_core = core[best];
+    const std::uint64_t bound =
+        second == n ? ~std::uint64_t{0} : clock[second];
+    const bool wins_ties = best < second;
+    std::size_t i = cursor[best];
+    std::uint64_t c = clock[best];
+    do {
+      const TraceEvent& ev = trace[i++];
+      const std::uint64_t cost = sim.on_access(best_core, ev.addr, ev.type);
+      c += ev.think_cycles + cost;
+    } while (i < trace.size() && (c < bound || (c == bound && wins_ties)));
+    cursor[best] = i;
+    clock[best] = c;
   }
+
+  ConcurrentResult result;
   for (std::size_t t = 0; t < n; ++t) {
     result.finish_cycles = std::max(result.finish_cycles, clock[t]);
   }

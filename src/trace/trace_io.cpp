@@ -51,18 +51,17 @@ std::string pack_events(const ThreadTrace& trace) {
 
 bool unpack_events(std::string_view bytes, ThreadTrace* out) {
   if (bytes.size() % sizeof(WireEvent) != 0) return false;
-  const std::size_t n = bytes.size() / sizeof(WireEvent);
-  out->clear();
-  out->reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  // Sized once and decoded in place: no per-event growth check.
+  out->resize(bytes.size() / sizeof(WireEvent));
+  const char* p = bytes.data();
+  for (TraceEvent& ev : *out) {
     WireEvent wire;
-    std::memcpy(&wire, bytes.data() + i * sizeof(WireEvent), sizeof wire);
-    TraceEvent ev;
+    std::memcpy(&wire, p, sizeof wire);
+    p += sizeof wire;
     ev.addr = static_cast<Address>(wire.addr);
     ev.think_cycles = wire.think;
     ev.type = wire.type == 0 ? AccessType::kRead : AccessType::kWrite;
     ev.size = wire.size;
-    out->push_back(ev);
   }
   return true;
 }

@@ -14,22 +14,33 @@ const char* to_string(FrameError e) {
     case FrameError::kVersionSkew: return "version-skew";
     case FrameError::kTruncated: return "truncated";
     case FrameError::kBadCrc: return "bad-crc";
+    case FrameError::kTooLarge: return "too-large";
   }
   return "?";
 }
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial: table[0] is the
+/// classic byte-at-a-time table, and table[k][b] is the CRC of byte b
+/// followed by k zero bytes, so eight table lookups fold one 8-byte word.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      t[k][i] = t[0][t[k - 1][i] & 0xffu] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
 }
 
 void put_u16(std::string* out, std::uint16_t v) {
@@ -68,11 +79,20 @@ std::uint64_t get_u64(const unsigned char* p) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  // Eight bytes per step, read as two little-endian words (byte loads, so
+  // alignment does not matter), then the tail a byte at a time.
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = get_u32(p) ^ c;
+    const std::uint32_t hi = get_u32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }
@@ -89,6 +109,17 @@ std::string encode_frame(FrameType type, std::string_view payload) {
   return out;
 }
 
+FrameError parse_header(const void* header, FrameHeader* out) {
+  const auto* p = static_cast<const unsigned char*>(header);
+  if (get_u32(p) != kFrameMagic) return FrameError::kBadMagic;
+  const std::uint16_t version = get_u16(p + 4);
+  if (version > kWireVersion || version == 0) return FrameError::kVersionSkew;
+  out->type = static_cast<FrameType>(get_u16(p + 6));
+  out->length = get_u32(p + 8);
+  out->crc = get_u32(p + 12);
+  return FrameError::kOk;
+}
+
 FrameError parse_frame(std::string_view bytes, Frame* out,
                        std::size_t* consumed) {
   *consumed = 0;
@@ -102,19 +133,19 @@ FrameError parse_frame(std::string_view bytes, Frame* out,
     }
     return FrameError::kTruncated;
   }
-  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
-  if (get_u32(p) != kFrameMagic) return FrameError::kBadMagic;
-  const std::uint16_t version = get_u16(p + 4);
-  if (version > kWireVersion || version == 0) return FrameError::kVersionSkew;
-  const std::uint16_t type = get_u16(p + 6);
-  const std::uint32_t length = get_u32(p + 8);
-  const std::uint32_t crc = get_u32(p + 12);
-  if (bytes.size() < kFrameHeaderSize + length) return FrameError::kTruncated;
-  const std::string_view payload = bytes.substr(kFrameHeaderSize, length);
-  if (crc32(payload) != crc) return FrameError::kBadCrc;
-  out->type = static_cast<FrameType>(type);
+  FrameHeader h;
+  if (const FrameError e = parse_header(bytes.data(), &h);
+      e != FrameError::kOk) {
+    return e;
+  }
+  if (bytes.size() < kFrameHeaderSize + h.length) {
+    return FrameError::kTruncated;
+  }
+  const std::string_view payload = bytes.substr(kFrameHeaderSize, h.length);
+  if (crc32(payload) != h.crc) return FrameError::kBadCrc;
+  out->type = h.type;
   out->payload.assign(payload);
-  *consumed = kFrameHeaderSize + length;
+  *consumed = kFrameHeaderSize + h.length;
   return FrameError::kOk;
 }
 
@@ -129,12 +160,11 @@ FrameError read_frame(std::istream& in, Frame* out) {
     }
     return FrameError::kTruncated;
   }
-  const auto* p = reinterpret_cast<const unsigned char*>(header);
-  if (get_u32(p) != kFrameMagic) return FrameError::kBadMagic;
-  const std::uint16_t version = get_u16(p + 4);
-  if (version > kWireVersion || version == 0) return FrameError::kVersionSkew;
-  const std::uint32_t length = get_u32(p + 8);
-  const std::uint32_t crc = get_u32(p + 12);
+  FrameHeader h;
+  if (const FrameError e = parse_header(header, &h); e != FrameError::kOk) {
+    return e;
+  }
+  const std::uint32_t length = h.length;
   // The claimed length is untrusted. A seekable stream is checked up front
   // and read in one piece; any other stream grows the payload one chunk at
   // a time, so memory tracks the bytes that actually arrive.
@@ -152,8 +182,8 @@ FrameError read_frame(std::istream& in, Frame* out) {
       return FrameError::kTruncated;
     }
   }
-  if (crc32(payload) != crc) return FrameError::kBadCrc;
-  out->type = static_cast<FrameType>(get_u16(p + 6));
+  if (crc32(payload) != h.crc) return FrameError::kBadCrc;
+  out->type = h.type;
   out->payload = std::move(payload);
   return FrameError::kOk;
 }

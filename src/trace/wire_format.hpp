@@ -57,6 +57,7 @@ enum class FrameError : std::uint8_t {
   kVersionSkew,  ///< frame from a newer incompatible framing revision
   kTruncated,    ///< stream ended inside the header or payload
   kBadCrc,       ///< payload bytes do not match the header checksum
+  kTooLarge,     ///< header claims more payload than the reader accepts
 };
 
 const char* to_string(FrameError e);
@@ -66,7 +67,9 @@ struct Frame {
   std::string payload;
 };
 
-/// CRC-32 (IEEE 802.3, reflected) over `size` bytes.
+/// CRC-32 (IEEE 802.3, reflected) over `size` bytes. Portable
+/// slicing-by-8: eight table lookups per 8-byte step, byte loads only (any
+/// alignment), then a byte-at-a-time tail; crc32("123456789") == 0xCBF43926.
 std::uint32_t crc32(const void* data, std::size_t size);
 inline std::uint32_t crc32(std::string_view bytes) {
   return crc32(bytes.data(), bytes.size());
@@ -77,6 +80,17 @@ std::string encode_frame(FrameType type, std::string_view payload);
 
 /// Fixed encoded size of the frame header preceding each payload.
 inline constexpr std::size_t kFrameHeaderSize = 16;
+
+/// The fields of a frame header that passed its magic and version checks.
+struct FrameHeader {
+  FrameType type = FrameType::kTraceHeader;
+  std::uint32_t length = 0;  ///< payload bytes claimed (untrusted)
+  std::uint32_t crc = 0;
+};
+
+/// Decodes the kFrameHeaderSize bytes at `header`: kBadMagic, kVersionSkew
+/// or kOk with `*out` filled in.
+FrameError parse_header(const void* header, FrameHeader* out);
 
 /// Reads one frame from a stream positioned at a frame boundary. A header
 /// claiming more payload than the stream holds is kTruncated before any

@@ -11,11 +11,13 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_set>
 
 #include "api/predator.hpp"
 #include "common/prng.hpp"
 #include "reference/flat_cache_sim.hpp"
+#include "reference/scan_executor.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/executor.hpp"
 #include "sim/fiber_executor.hpp"
@@ -775,6 +777,171 @@ TEST(TopologyGolden, EveryConfigurationMatchesItsDigest) {
                          topology_digest(*w, 192, wide));
   }
   EXPECT_EQ(actual, golden);
+}
+
+// ---------------------------------------------------------------------------
+// Executor oracle: simulate_concurrent runs each thread until another
+// overtakes it; the per-access scan it replaced
+// (tests/reference/scan_executor.hpp) defines the schedule it must keep.
+// ---------------------------------------------------------------------------
+
+using HotLineRow = std::tuple<Address, std::uint64_t, std::uint64_t>;
+
+std::vector<HotLineRow> all_hot_lines(const CacheSim& sim) {
+  std::vector<HotLineRow> rows;
+  for (const auto& l : sim.hottest_lines(~std::size_t{0})) {
+    rows.emplace_back(l.line_start, l.invalidations, l.remote_invalidations);
+  }
+  return rows;
+}
+
+/// Both executors on fresh simulators: identical stats, per-core cycles,
+/// finish_cycles and per-line (remote) invalidations.
+void expect_same_schedule(const NumaConfig& cfg,
+                          const std::vector<ThreadTrace>& traces,
+                          const std::string& what) {
+  CacheSim fast(cfg);
+  CacheSim scan(cfg);
+  const ConcurrentResult rf = simulate_concurrent(fast, traces);
+  const ConcurrentResult rs = scan_simulate_concurrent(scan, traces);
+  EXPECT_EQ(rf.finish_cycles, rs.finish_cycles) << what;
+  EXPECT_EQ(0, std::memcmp(&rf.stats, &rs.stats, sizeof(SimStats))) << what;
+  for (std::uint32_t c = 0; c < fast.num_cores(); ++c) {
+    EXPECT_EQ(fast.core_cycles(c), scan.core_cycles(c))
+        << what << " core " << c;
+  }
+  EXPECT_EQ(all_hot_lines(fast), all_hot_lines(scan)) << what;
+}
+
+/// The oracle's machines: flat 4-core, 2x2 compact, 2x4 scatter with
+/// 128-byte LLC lines.
+std::vector<std::pair<std::string, NumaConfig>> oracle_machines() {
+  NumaConfig scatter128 = two_by_four(NumaPlacement::kScatter);
+  scatter128.llc_line_size = 128;
+  return {{"flat4", NumaConfig(SimConfig(4))},
+          {"2x2c", NumaConfig(2, 2)},
+          {"2x4s/128", scatter128}};
+}
+
+TEST(ExecutorOracle, RegistryWorkloadsKeepTheScanSchedule) {
+  for (const auto& w : wl::all_workloads()) {
+    for (const std::uint32_t threads : {4u, 8u}) {
+      SessionOptions o;
+      o.heap_size = 32 * 1024 * 1024;
+      Session session(o);
+      wl::Params p;
+      p.threads = threads;
+      const auto traces = w->capture(session, p);
+      for (const auto& [machine, cfg] : oracle_machines()) {
+        expect_same_schedule(cfg, traces,
+                             w->traits().name + " t" +
+                                 std::to_string(threads) + " " + machine);
+      }
+    }
+  }
+}
+
+/// `threads` threads reading one private line each with no think time:
+/// after the cold misses every access is a 1-cycle hit, so every clock ties
+/// with every other at almost every step.
+std::vector<ThreadTrace> all_hit_traces(std::size_t threads,
+                                        std::size_t length) {
+  std::vector<ThreadTrace> traces(threads);
+  for (std::size_t t = 0; t < threads; ++t) {
+    for (std::size_t i = 0; i < length; ++i) {
+      traces[t].push_back({static_cast<Address>(4096 + 64 * t), 0, R, 8});
+    }
+  }
+  return traces;
+}
+
+/// Seeded traces over three lines with think times of 0 or 1 and the given
+/// lengths (zero for an empty thread).
+std::vector<ThreadTrace> tie_heavy_traces(
+    std::uint64_t seed, const std::vector<std::size_t>& lengths) {
+  Xorshift64 rng(seed);
+  std::vector<ThreadTrace> traces(lengths.size());
+  for (std::size_t t = 0; t < lengths.size(); ++t) {
+    for (std::size_t i = 0; i < lengths[t]; ++i) {
+      const Address addr = 8192 + rng.next_below(3) * 64 + rng.next_below(8) * 8;
+      const std::uint32_t think = static_cast<std::uint32_t>(rng.next_below(2));
+      traces[t].push_back({addr, think, rng.next_below(4) == 0 ? W : R, 8});
+    }
+  }
+  return traces;
+}
+
+TEST(ExecutorOracle, AdversarialTiesKeepTheScanSchedule) {
+  std::vector<std::pair<std::string, std::vector<ThreadTrace>>> cases;
+  cases.push_back({"all-hit x4", all_hit_traces(4, 300)});
+  cases.push_back({"all-hit x11", all_hit_traces(11, 97)});
+  cases.push_back({"no threads", {}});
+  cases.push_back({"all empty", std::vector<ThreadTrace>(5)});
+  cases.push_back({"one thread", tie_heavy_traces(1, {500})});
+  cases.push_back({"uneven", tie_heavy_traces(2, {0, 1, 300, 0, 17, 1000})});
+  cases.push_back({"more threads than cores",
+                   tie_heavy_traces(3, std::vector<std::size_t>(13, 120))});
+  for (std::uint64_t seed = 10; seed < 40; ++seed) {
+    std::vector<std::size_t> lengths;
+    for (std::size_t t = 0; t < 1 + seed % 9; ++t) {
+      lengths.push_back((seed * 37 + t * 101) % 250);
+    }
+    cases.push_back({"seed " + std::to_string(seed),
+                     tie_heavy_traces(seed, lengths)});
+  }
+  for (const auto& [name, traces] : cases) {
+    for (const auto& [machine, cfg] : oracle_machines()) {
+      expect_same_schedule(cfg, traces, name + " " + machine);
+    }
+  }
+}
+
+/// A simulator whose accesses cost 0, 1 or 2 cycles by address, so clocks
+/// tie constantly and zero-cost runs stay level; it logs the order of the
+/// accesses it sees.
+class RecordingSim {
+ public:
+  using Stats = SimStats;
+
+  explicit RecordingSim(std::uint32_t cores) : cores_(cores) {}
+  std::uint32_t num_cores() const { return cores_; }
+  std::uint64_t on_access(std::uint32_t core, Address addr, AccessType) {
+    log_.emplace_back(core, addr);
+    ++stats_.accesses;
+    return addr % 3;
+  }
+  const SimStats& stats() const { return stats_; }
+  const std::vector<std::pair<std::uint32_t, Address>>& log() const {
+    return log_;
+  }
+
+ private:
+  std::uint32_t cores_;
+  SimStats stats_;
+  std::vector<std::pair<std::uint32_t, Address>> log_;
+};
+
+TEST(ExecutorOracle, ZeroAndTinyCostsIssueInTheScanOrder) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Xorshift64 rng(seed);
+    std::vector<ThreadTrace> traces(1 + seed % 7);
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+      const std::size_t length = rng.next_below(200);
+      for (std::size_t i = 0; i < length; ++i) {
+        // The thread id in the high bits makes the log name the issuer.
+        const Address addr = (static_cast<Address>(t) << 32) | rng.next_below(64);
+        const std::uint32_t think =
+            static_cast<std::uint32_t>(rng.next_below(3) == 0);
+        traces[t].push_back({addr, think, R, 8});
+      }
+    }
+    RecordingSim fast(3);
+    RecordingSim scan(3);
+    const ConcurrentResult rf = simulate_concurrent(fast, traces);
+    const ConcurrentResult rs = scan_simulate_concurrent(scan, traces);
+    EXPECT_EQ(fast.log(), scan.log()) << "seed " << seed;
+    EXPECT_EQ(rf.finish_cycles, rs.finish_cycles) << "seed " << seed;
+  }
 }
 
 TEST(TraceRecorder, CapturesTypesSizesAndAddresses) {

@@ -88,13 +88,19 @@ std::string trace_with_header(std::uint64_t threads,
   return wire::encode_frame(wire::FrameType::kTraceHeader, header) + frames;
 }
 
-std::string thread_frame(std::uint64_t index, const ThreadTrace& trace) {
+/// A CRC-valid thread frame with the given event-count field and event blob.
+std::string raw_thread_frame(std::uint64_t index, std::uint64_t count,
+                             const std::string& events) {
   std::string body;
   wire::FieldWriter bw(&body);
   bw.u64(1, index);
-  bw.u64(2, trace.size());
-  bw.bytes(3, pack_events(trace));
+  bw.u64(2, count);
+  bw.bytes(3, events);
   return wire::encode_frame(wire::FrameType::kThreadTrace, body);
+}
+
+std::string thread_frame(std::uint64_t index, const ThreadTrace& trace) {
+  return raw_thread_frame(index, trace.size(), pack_events(trace));
 }
 
 // A forged thread count is checked against the bytes that follow before
@@ -124,6 +130,95 @@ TEST(TraceIo, RejectsRepeatedThreadIndex) {
   std::vector<ThreadTrace> loaded;
   EXPECT_FALSE(load_traces(buf, &loaded));
   EXPECT_TRUE(loaded.empty());
+}
+
+// An event blob must be whole 16-byte records: a trailing partial record is
+// rejected rather than dropped, even with a count that matches the whole
+// records.
+TEST(TraceIo, RejectsEventBlobNotAMultipleOf16) {
+  const ThreadTrace trace = make_trace(3, 0x1000);
+  for (const std::size_t extra : {1, 8, 15}) {
+    const std::string blob = pack_events(trace) + std::string(extra, '\0');
+    std::stringstream buf(
+        trace_with_header(1, raw_thread_frame(0, trace.size(), blob)));
+    std::vector<ThreadTrace> loaded;
+    EXPECT_FALSE(load_traces(buf, &loaded)) << "extra bytes " << extra;
+    EXPECT_TRUE(loaded.empty());
+  }
+}
+
+// The event-count field must agree with the blob, in either direction.
+TEST(TraceIo, RejectsEventCountThatDisagreesWithBlob) {
+  const ThreadTrace trace = make_trace(5, 0x1000);
+  for (const std::uint64_t count : {std::uint64_t{0}, std::uint64_t{4},
+                                    std::uint64_t{6}, ~std::uint64_t{0}}) {
+    std::stringstream buf(trace_with_header(
+        1, raw_thread_frame(0, count, pack_events(trace))));
+    std::vector<ThreadTrace> loaded;
+    EXPECT_FALSE(load_traces(buf, &loaded)) << "count " << count;
+  }
+  std::stringstream honest(trace_with_header(1, thread_frame(0, trace)));
+  std::vector<ThreadTrace> loaded;
+  EXPECT_TRUE(load_traces(honest, &loaded));
+}
+
+// The type byte is normalized: 0 is a read, anything else a write.
+TEST(TraceIo, NonzeroTypeBytesLoadAsWrites) {
+  constexpr std::size_t kTypeOffset = 12;  // after addr u64 and think u32
+  const ThreadTrace trace(4, TraceEvent{0x1000, 7, AccessType::kRead, 8});
+  std::string blob = pack_events(trace);
+  const unsigned char types[] = {0, 1, 2, 255};
+  for (std::size_t i = 0; i < 4; ++i) {
+    blob[16 * i + kTypeOffset] = static_cast<char>(types[i]);
+  }
+  std::stringstream buf(trace_with_header(1, raw_thread_frame(0, 4, blob)));
+  std::vector<ThreadTrace> loaded;
+  ASSERT_TRUE(load_traces(buf, &loaded));
+  ASSERT_EQ(loaded[0].size(), 4u);
+  EXPECT_EQ(loaded[0][0].type, AccessType::kRead);
+  EXPECT_EQ(loaded[0][1].type, AccessType::kWrite);
+  EXPECT_EQ(loaded[0][2].type, AccessType::kWrite);
+  EXPECT_EQ(loaded[0][3].type, AccessType::kWrite);
+}
+
+// Several MB of events with every field spanning its full range load back
+// field for field, and saving them again reproduces the bytes exactly.
+TEST(TraceIo, MultiMegabyteTraceRoundTripsBitExactly) {
+  std::vector<ThreadTrace> traces(4);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (ThreadTrace& t : traces) {
+    t.resize(100'000);
+    for (TraceEvent& ev : t) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      ev.addr = static_cast<Address>(x);
+      ev.think_cycles = static_cast<std::uint32_t>(x >> 32);
+      ev.type = (x >> 8) & 1 ? AccessType::kWrite : AccessType::kRead;
+      ev.size = static_cast<std::uint8_t>(x >> 16);
+    }
+  }
+  std::stringstream buf;
+  ASSERT_TRUE(save_traces(buf, traces));
+  const std::string bytes = buf.str();
+  ASSERT_GT(bytes.size(), std::size_t{6} << 20);
+
+  std::vector<ThreadTrace> loaded;
+  ASSERT_TRUE(load_traces(buf, &loaded));
+  ASSERT_EQ(loaded.size(), traces.size());
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    ASSERT_EQ(loaded[t].size(), traces[t].size());
+    for (std::size_t i = 0; i < traces[t].size(); ++i) {
+      const TraceEvent& a = traces[t][i];
+      const TraceEvent& b = loaded[t][i];
+      ASSERT_TRUE(a.addr == b.addr && a.think_cycles == b.think_cycles &&
+                  a.type == b.type && a.size == b.size)
+          << "thread " << t << " event " << i;
+    }
+  }
+  std::stringstream again;
+  ASSERT_TRUE(save_traces(again, loaded));
+  EXPECT_TRUE(again.str() == bytes);
 }
 
 // The current writer emits the v2 frame stream; saved traces must start at

@@ -1,9 +1,13 @@
 // Regression tests for the shared wire framing (trace/wire_format.hpp):
-// every FrameError path (bad magic, version skew, truncation, CRC
-// corruption), the incremental-parse contract FrameStreamParser relies on,
-// and the tagged-field layer's unknown-field forward compatibility.
+// the CRC against known answers and a byte-at-a-time reference, every
+// FrameError path (bad magic, version skew, truncation, CRC corruption,
+// oversized claims), the incremental-parse contract FrameStreamParser
+// relies on, and the tagged-field layer's unknown-field forward
+// compatibility.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <sstream>
 
 #include "collect/transport.hpp"
@@ -25,6 +29,41 @@ std::string sample_payload() {
   w.u64(1, 0xdeadbeefcafe1234ull);
   w.str(2, "hello, wire");
   return payload;
+}
+
+/// The textbook bitwise CRC-32 (IEEE 802.3, reflected), one byte at a time.
+std::uint32_t reference_crc32(const unsigned char* p, std::size_t size) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(wire::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(wire::crc32(""), 0u);
+  EXPECT_EQ(wire::crc32(nullptr, 0), 0u);
+}
+
+// Every length from 0 to 67 (eight-byte steps plus every tail length) at
+// every start offset 0-7, so both the sliced loop and misaligned reads are
+// covered.
+TEST(Crc32, MatchesByteAtATimeReferenceAtEveryLengthAndAlignment) {
+  std::array<unsigned char, 8 + 67> buf{};
+  std::uint32_t x = 0x12345678u;
+  for (unsigned char& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      EXPECT_EQ(wire::crc32(buf.data() + offset, len),
+                reference_crc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(WireFormat, FrameRoundTrip) {
@@ -234,6 +273,45 @@ TEST(FrameStreamParser, CorruptionPoisonsTheStream) {
   // The good second frame is unreachable — framing trust is gone.
   parser.feed(wire::encode_frame(FrameType::kGoodbye, ""));
   EXPECT_FALSE(parser.next(&frame));
+}
+
+// A header claiming 4 GiB is refused as soon as its 16 bytes arrive: none
+// of the claimed payload is ever buffered, and later bytes are discarded.
+TEST(FrameStreamParser, OversizedClaimPoisonsBeforeBufferingPayload) {
+  const std::string header = forged_header();
+  ASSERT_EQ(header.size(), wire::kFrameHeaderSize);
+  FrameStreamParser parser;
+  parser.feed(std::string_view(header).substr(0, 10));
+  EXPECT_FALSE(parser.poisoned());
+  parser.feed(header.substr(10) + std::string(4096, 'x'));
+  EXPECT_TRUE(parser.poisoned());
+  EXPECT_EQ(parser.error(), FrameError::kTooLarge);
+  EXPECT_STREQ(wire::to_string(parser.error()), "too-large");
+  EXPECT_LE(parser.pending_bytes(), wire::kFrameHeaderSize);
+  for (int i = 0; i < 64; ++i) parser.feed(std::string(1 << 16, 'y'));
+  EXPECT_LE(parser.pending_bytes(), wire::kFrameHeaderSize);
+  Frame frame;
+  EXPECT_FALSE(parser.next(&frame));
+  EXPECT_EQ(parser.error(), FrameError::kTooLarge);
+}
+
+// The cap is inclusive and applies to each header in a chunk, not only the
+// first: a good frame followed by an oversized header in one feed poisons.
+TEST(FrameStreamParser, CapAppliesToEveryHeaderInAChunk) {
+  std::string at_cap = wire::encode_frame(FrameType::kHello, "");
+  const std::uint32_t cap = FrameStreamParser::kMaxFrameLength;
+  for (int i = 0; i < 4; ++i) {
+    at_cap[8 + i] = static_cast<char>((cap >> (8 * i)) & 0xff);
+  }
+  FrameStreamParser ok;
+  ok.feed(at_cap);
+  EXPECT_FALSE(ok.poisoned());  // waits for its payload
+
+  FrameStreamParser parser;
+  parser.feed(wire::encode_frame(FrameType::kHello, "fine") +
+              forged_header() + std::string(100, 'z'));
+  EXPECT_TRUE(parser.poisoned());
+  EXPECT_EQ(parser.error(), FrameError::kTooLarge);
 }
 
 TEST(FrameStreamParser, MidFrameEofLeavesPendingBytes) {
