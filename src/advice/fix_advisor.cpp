@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
 #include <set>
+
+#include "common/append_fmt.hpp"
 
 namespace pred {
 
@@ -21,18 +22,6 @@ const char* to_string(FixKind kind) {
 }
 
 namespace {
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
 
 /// A maximal run of consecutive touched words owned by one thread.
 struct OwnerSegment {

@@ -1,4 +1,4 @@
-// Tiny statistics and timing helpers used by the benchmark harnesses.
+// Tiny statistics and timing helpers (benchmark harnesses, repair phases).
 #pragma once
 
 #include <algorithm>

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <unordered_map>
+
+#include "common/append_fmt.hpp"
 
 namespace pred {
 
@@ -270,22 +271,6 @@ FleetRollup FleetState::rollup(std::size_t top_k) const {
             });
   return out;
 }
-
-namespace {
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
-}  // namespace
 
 std::string format_rollup(const FleetRollup& r) {
   std::string out;

@@ -1,12 +1,12 @@
 #include "repair/verifier.hpp"
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
 #include <utility>
 
 #include "advice/fix_advisor.hpp"
+#include "common/stats.hpp"
 #include "repair/planner.hpp"
 #include "sim/executor.hpp"
 #include "workloads/workload.hpp"
@@ -15,13 +15,6 @@ namespace pred::repair {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
 /// Stable site key of a registered object, mirroring the planner's keying.
 std::string site_key_of(const ObjectInfo& obj, const CallsiteTable& callsites) {
   if (obj.is_global) return obj.name;
@@ -29,11 +22,14 @@ std::string site_key_of(const ObjectInfo& obj, const CallsiteTable& callsites) {
   return join_frames(callsites.get(obj.callsite).frames);
 }
 
-/// Simulated invalidations summed over every registered object whose site
-/// key matches a plan entry. Walks the registry (not the report) so padded
-/// objects that no longer misbehave are still measured.
+/// Invalidations, simulating `traces`, summed over every registered object
+/// whose site key matches a plan entry. Walks the registry (not the report)
+/// so padded objects that no longer misbehave are still measured.
 std::uint64_t site_invalidations(Session& session, const RepairPlan& plan,
-                                 const CacheSim& sim) {
+                                 const std::vector<ThreadTrace>& traces,
+                                 const VerifierOptions& options) {
+  CacheSim sim(options.sim);
+  simulate_interleaved(sim, traces, options.quantum);
   std::uint64_t total = 0;
   const CallsiteTable& callsites = session.runtime().callsites();
   session.runtime().objects().for_each([&](const ObjectInfo& obj) {
@@ -57,6 +53,32 @@ std::size_t surviving_site_findings(const Report& report,
   return n;
 }
 
+/// Phases 3 and 4 of both loops, on the plan already in `out`. Apply: a
+/// fresh session with the plan installed re-runs the same workload; heap
+/// sites repair inside the allocator, global sites through the target's IR
+/// rewrite. Verify: re-detect and re-simulate the repaired layout.
+void apply_and_verify(const RepairTarget& target,
+                      const VerifierOptions& options, RepairOutcome* out) {
+  const Stopwatch t_apply;
+  Session repaired(options.session);
+  repaired.allocator().install_repair_plan(
+      std::make_shared<const RepairPlan>(out->plan));
+  RunResult fixed = target.run(repaired, out->plan.empty() ? nullptr
+                                                           : &out->plan,
+                               options.threads, options.scale);
+  out->repaired_checksum = fixed.checksum;
+  out->apply_ms = 1e3 * t_apply.elapsed_seconds();
+
+  const Stopwatch t_verify;
+  wl::replay_into_session(repaired, fixed.traces, options.quantum);
+  out->repaired_report = repaired.report();
+  out->repaired_invalidations =
+      site_invalidations(repaired, out->plan, fixed.traces, options);
+  out->repaired_site_findings = surviving_site_findings(
+      out->repaired_report, out->plan, repaired.runtime().callsites());
+  out->verify_ms = 1e3 * t_verify.elapsed_seconds();
+}
+
 }  // namespace
 
 SessionOptions detection_session_options(std::size_t heap_size) {
@@ -75,54 +97,30 @@ RepairOutcome run_repair_loop(const RepairTarget& target,
   RepairOutcome out;
 
   // Phase 1 — detect: baseline run, replayed into a fresh detector.
-  const auto t_detect = Clock::now();
+  const Stopwatch t_detect;
   Session baseline(options.session);
   RunResult base =
       target.run(baseline, nullptr, options.threads, options.scale);
   out.baseline_checksum = base.checksum;
   wl::replay_into_session(baseline, base.traces, options.quantum);
   out.baseline_report = baseline.report();
-  out.detect_ms = ms_since(t_detect);
+  out.detect_ms = 1e3 * t_detect.elapsed_seconds();
 
   // Phase 2 — plan: advice lowered to machine-applicable directives.
-  const auto t_plan = Clock::now();
+  const Stopwatch t_plan;
   PlannerOptions popts;
   popts.line_size = options.session.runtime.geometry.line_size;
   out.plan = compile_plan(out.baseline_report, advise(out.baseline_report),
                           baseline.runtime().callsites(), popts);
   out.plan.origin_uid = baseline.uid();
-  out.plan_ms = ms_since(t_plan);
+  out.plan_ms = 1e3 * t_plan.elapsed_seconds();
 
   // Baseline coherence traffic on the plan's sites.
-  CacheSim base_sim(options.sim);
-  simulate_interleaved(base_sim, base.traces, options.quantum);
-  out.baseline_invalidations = site_invalidations(baseline, out.plan,
-                                                  base_sim);
+  out.baseline_invalidations =
+      site_invalidations(baseline, out.plan, base.traces, options);
 
-  // Phase 3 — apply: a fresh session with the plan installed re-runs the
-  // same workload; heap sites repair inside the allocator, global sites
-  // through the target's IR rewrite.
-  const auto t_apply = Clock::now();
-  Session repaired(options.session);
-  repaired.allocator().install_repair_plan(
-      std::make_shared<const RepairPlan>(out.plan));
-  RunResult fixed = target.run(repaired, out.plan.empty() ? nullptr
-                                                          : &out.plan,
-                               options.threads, options.scale);
-  out.repaired_checksum = fixed.checksum;
-  out.apply_ms = ms_since(t_apply);
-
-  // Phase 4 — verify: re-detect and re-simulate the repaired layout.
-  const auto t_verify = Clock::now();
-  wl::replay_into_session(repaired, fixed.traces, options.quantum);
-  out.repaired_report = repaired.report();
-  CacheSim fixed_sim(options.sim);
-  simulate_interleaved(fixed_sim, fixed.traces, options.quantum);
-  out.repaired_invalidations = site_invalidations(repaired, out.plan,
-                                                  fixed_sim);
-  out.repaired_site_findings = surviving_site_findings(
-      out.repaired_report, out.plan, repaired.runtime().callsites());
-  out.verify_ms = ms_since(t_verify);
+  // Phases 3/4 — apply + verify.
+  apply_and_verify(target, options, &out);
   return out;
 }
 
@@ -131,10 +129,10 @@ RepairOutcome run_static_repair_loop(const RepairTarget& target,
   RepairOutcome out;
 
   // Phase 1 — plan, statically: no session exists yet, nothing has run.
-  const auto t_plan = Clock::now();
+  const Stopwatch t_plan;
   StaticModuleSpec spec;
   if (!target.static_spec(&spec, options.threads, options.scale)) {
-    out.plan_ms = ms_since(t_plan);
+    out.plan_ms = 1e3 * t_plan.elapsed_seconds();
     return out;
   }
   ir::PredictOptions popt;
@@ -145,44 +143,23 @@ RepairOutcome run_static_repair_loop(const RepairTarget& target,
   PlannerOptions popts;
   popts.line_size = options.session.runtime.geometry.line_size;
   out.plan = compile_plan(prediction, spec.regions, popts);
-  out.plan_ms = ms_since(t_plan);
+  out.plan_ms = 1e3 * t_plan.elapsed_seconds();
 
   // Phase 2 — baseline measurement run. The plan above never saw it; it
   // only establishes what the prediction claimed to eliminate.
-  const auto t_detect = Clock::now();
+  const Stopwatch t_detect;
   Session baseline(options.session);
   RunResult base =
       target.run(baseline, nullptr, options.threads, options.scale);
   out.baseline_checksum = base.checksum;
   wl::replay_into_session(baseline, base.traces, options.quantum);
   out.baseline_report = baseline.report();
-  CacheSim base_sim(options.sim);
-  simulate_interleaved(base_sim, base.traces, options.quantum);
-  out.baseline_invalidations = site_invalidations(baseline, out.plan,
-                                                  base_sim);
-  out.detect_ms = ms_since(t_detect);
+  out.baseline_invalidations =
+      site_invalidations(baseline, out.plan, base.traces, options);
+  out.detect_ms = 1e3 * t_detect.elapsed_seconds();
 
-  // Phases 3/4 — apply + verify, identical to the profiled loop.
-  const auto t_apply = Clock::now();
-  Session repaired(options.session);
-  repaired.allocator().install_repair_plan(
-      std::make_shared<const RepairPlan>(out.plan));
-  RunResult fixed = target.run(repaired, out.plan.empty() ? nullptr
-                                                          : &out.plan,
-                               options.threads, options.scale);
-  out.repaired_checksum = fixed.checksum;
-  out.apply_ms = ms_since(t_apply);
-
-  const auto t_verify = Clock::now();
-  wl::replay_into_session(repaired, fixed.traces, options.quantum);
-  out.repaired_report = repaired.report();
-  CacheSim fixed_sim(options.sim);
-  simulate_interleaved(fixed_sim, fixed.traces, options.quantum);
-  out.repaired_invalidations = site_invalidations(repaired, out.plan,
-                                                  fixed_sim);
-  out.repaired_site_findings = surviving_site_findings(
-      out.repaired_report, out.plan, repaired.runtime().callsites());
-  out.verify_ms = ms_since(t_verify);
+  // Phases 3/4 — apply + verify.
+  apply_and_verify(target, options, &out);
   return out;
 }
 
